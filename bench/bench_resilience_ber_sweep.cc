@@ -44,10 +44,10 @@
 
 #include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
-#include "codec/faultinject.hh"
 #include "codec/kernels/kernels.hh"
 #include "core/machine.hh"
 #include "fec/frame.hh"
+#include "service/pipeline.hh"
 #include "support/table.hh"
 #include "video/scene.hh"
 
@@ -84,34 +84,25 @@ sweepWorkload(const Config &c)
     return wl;
 }
 
-/** Luma planes by timestamp from one tolerant untraced decode. */
-struct DecodeCapture
+/**
+ * Decode @p stream as @p job does (default: clear, tolerant), keeping
+ * each displayed frame's luma plane by timestamp in @p lumaByTs.
+ */
+service::DecodeOutcome
+decodeCapture(const std::vector<uint8_t> &stream,
+              std::map<int, std::vector<uint8_t>> &lumaByTs,
+              const service::JobSpec &job = service::JobSpec())
 {
-    std::map<int, std::vector<uint8_t>> lumaByTs;
-    codec::DecodeStats stats;
-};
-
-DecodeCapture
-decodeCapture(const std::vector<uint8_t> &stream)
-{
-    DecodeCapture cap;
-    memsim::SimContext ctx; // untraced
-    codec::Mpeg4Decoder dec(ctx);
-    codec::DecodeOptions opts;
-    opts.tolerant = true;
-    cap.stats = dec.decode(
-        stream,
-        [&](const codec::DecodedEvent &e) {
+    return service::decodeStream(
+        job, stream, [&](const codec::DecodedEvent &e) {
             const video::Plane &y = e.frame->y();
-            auto &buf = cap.lumaByTs[e.timestamp];
+            auto &buf = lumaByTs[e.timestamp];
             buf.clear();
             for (int r = 0; r < y.height(); ++r) {
                 const uint8_t *row = y.rowPtr(r);
                 buf.insert(buf.end(), row, row + y.width());
             }
-        },
-        opts);
-    return cap;
+        });
 }
 
 double
@@ -130,7 +121,7 @@ psnr(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
     return 10.0 * std::log10(255.0 * 255.0 / mse);
 }
 
-/** One (config, BER) cell averaged over the channel seeds. */
+/** One (config, channel point) cell averaged over the channel seeds. */
 struct Cell
 {
     double displayedPct = 0;
@@ -138,44 +129,53 @@ struct Cell
     double corruptPackets = 0;
     double concealedMbs = 0;
     double corruptVops = 0;
+    double blocksCorrected = 0;
+    double blocksUncorrectable = 0;
 };
 
+/**
+ * Send @p stream over @p channel once per seed - FEC-protected when
+ * @p job asks - and decode it as @p job does.  PSNR scores each frame
+ * time of @p refs against the last frame displayed by then: a frame
+ * that never arrives freezes the last one that did.
+ */
 Cell
-runCell(const std::vector<uint8_t> &stream, const DecodeCapture &clean,
-        int frames, double ber)
+runCell(const std::vector<uint8_t> &stream, const service::JobSpec &job,
+        fec::ChannelSpec channel,
+        const std::map<int, std::vector<uint8_t>> &refs, int frames)
 {
+    const fec::FecConfig cfg = job.fecConfig();
+    const fec::FecConfig *wire = job.fecEnabled() ? &cfg : nullptr;
+    const std::vector<uint8_t> sent =
+        wire ? fec::protect(stream, cfg) : stream;
     Cell cell;
     for (const uint64_t seed : kSeeds) {
-        std::vector<uint8_t> noisy = stream;
-        if (ber > 0) {
-            codec::FaultSpec spec;
-            spec.ber = ber;
-            spec.seed = seed;
-            spec.protectPrefixBytes =
-                codec::protectableHeaderBytes(stream);
-            noisy = codec::injectFaults(std::move(noisy), spec);
-        }
-        const DecodeCapture got = decodeCapture(noisy);
-
-        // Concealment PSNR vs this config's clean decode: a frame
-        // that never arrives freezes the last one that did.
+        channel.faults.seed = seed;
+        std::map<int, std::vector<uint8_t>> got;
+        const service::DecodeOutcome out =
+            decodeCapture(fec::transmit(sent, channel, wire), got, job);
+        const codec::DecodeStats &ds = out.stats;
+        const fec::FecStats f = out.fec.value_or(fec::FecStats());
         double psnr_sum = 0;
         int scored = 0;
         const std::vector<uint8_t> *last = nullptr;
-        for (const auto &[ts, ref] : clean.lumaByTs) {
-            const auto it = got.lumaByTs.find(ts);
-            if (it != got.lumaByTs.end())
+        for (const auto &[ts, ref] : refs) {
+            const auto it = got.find(ts);
+            if (it != got.end())
                 last = &it->second;
             if (last) {
                 psnr_sum += psnr(ref, *last);
                 ++scored;
             }
         }
-        cell.displayedPct += 100.0 * got.stats.displayed / frames;
+        cell.displayedPct += 100.0 * ds.displayed / frames;
         cell.meanPsnr += scored ? psnr_sum / scored : 0.0;
-        cell.corruptPackets += got.stats.mb.corruptPackets;
-        cell.concealedMbs += got.stats.mb.concealedMbs;
-        cell.corruptVops += got.stats.corruptedVops;
+        cell.corruptPackets += ds.mb.corruptPackets;
+        cell.concealedMbs += ds.mb.concealedMbs;
+        cell.corruptVops += ds.corruptedVops;
+        cell.blocksCorrected += static_cast<double>(f.blocksCorrected);
+        cell.blocksUncorrectable +=
+            static_cast<double>(f.blocksUncorrectable);
     }
     const double n = static_cast<double>(std::size(kSeeds));
     cell.displayedPct /= n;
@@ -183,6 +183,8 @@ runCell(const std::vector<uint8_t> &stream, const DecodeCapture &clean,
     cell.corruptPackets /= n;
     cell.concealedMbs /= n;
     cell.corruptVops /= n;
+    cell.blocksCorrected /= n;
+    cell.blocksUncorrectable /= n;
     return cell;
 }
 
@@ -192,17 +194,15 @@ runCell(const std::vector<uint8_t> &stream, const DecodeCapture &clean,
 struct FecConfigRow
 {
     const char *name;
-    const char *mode; //!< "off", "hard", or "soft".
-    fec::Rate rate;
-    int interleaveDepth;
+    const char *fecKeys; //!< Job spec keys (docs/OPERATIONS.md).
     double codeRate; //!< Info bits per coded symbol (1.0 = no FEC).
 };
 
 const FecConfigRow kFecConfigs[] = {
-    {"resync-only", "off", fec::Rate::R1_2, 1, 1.0},
-    {"fec-hard-1/2", "hard", fec::Rate::R1_2, 16, 0.5},
-    {"fec-hard-3/4", "hard", fec::Rate::R3_4, 16, 0.75},
-    {"fec-soft-1/2", "soft", fec::Rate::R1_2, 16, 0.5},
+    {"resync-only", "fec=off", 1.0},
+    {"fec-hard-1/2", "fec=hard fec-rate=1/2 interleave-depth=16", 0.5},
+    {"fec-hard-3/4", "fec=hard fec-rate=3/4 interleave-depth=16", 0.75},
+    {"fec-soft-1/2", "fec=soft fec-rate=1/2 interleave-depth=16", 0.5},
 };
 
 const double kSnrsDb[] = {4.0, 6.8, 9.0};
@@ -230,14 +230,14 @@ fecWorkload(const FecConfigRow &c)
 }
 
 /** Pristine source-scene luma per frame time (the PSNR reference). */
-std::vector<std::vector<uint8_t>>
+std::map<int, std::vector<uint8_t>>
 sceneLumas(const core::Workload &wl)
 {
     memsim::SimContext ctx; // untraced
     video::SceneGenerator gen(wl.width, wl.height, wl.numVos - 1,
                               wl.seed);
     video::Yuv420Image img(ctx, wl.width, wl.height);
-    std::vector<std::vector<uint8_t>> lumas(wl.frames);
+    std::map<int, std::vector<uint8_t>> lumas;
     for (int t = 0; t < wl.frames; ++t) {
         gen.renderFrame(t, img);
         const video::Plane &y = img.y();
@@ -247,90 +247,6 @@ sceneLumas(const core::Workload &wl)
         }
     }
     return lumas;
-}
-
-/** One (config, Es/N0) cell averaged over the channel seeds. */
-struct FecCell
-{
-    double scenePsnr = 0;
-    double displayedPct = 0;
-    double blocksCorrected = 0;
-    double blocksUncorrectable = 0;
-    double corruptVops = 0;
-    double concealedMbs = 0;
-};
-
-FecCell
-runFecCell(const FecConfigRow &c, const std::vector<uint8_t> &stream,
-           const std::vector<std::vector<uint8_t>> &refs,
-           const core::Workload &wl, double snr_db)
-{
-    fec::FecConfig cfg;
-    cfg.decision = std::string(c.mode) == "soft" ? fec::Decision::Soft
-                                                 : fec::Decision::Hard;
-    cfg.rate = c.rate;
-    cfg.interleaveDepth = c.interleaveDepth;
-    const bool protectIt = std::string(c.mode) != "off";
-    const std::vector<uint8_t> framed =
-        protectIt ? fec::protect(stream, cfg) : stream;
-
-    FecCell cell;
-    for (const uint64_t seed : kSeeds) {
-        std::vector<uint8_t> noisy = framed;
-        fec::FecStats stats;
-        if (!protectIt) {
-            codec::FaultSpec spec;
-            spec.ber = fec::hardBerAtEsN0Db(snr_db);
-            spec.seed = seed;
-            spec.protectPrefixBytes =
-                codec::protectableHeaderBytes(stream);
-            noisy = codec::injectFaults(std::move(noisy), spec);
-        } else if (cfg.decision == fec::Decision::Soft) {
-            noisy = fec::channelSoft(std::move(noisy), snr_db, seed);
-        } else {
-            codec::FaultSpec spec;
-            spec.ber = fec::hardBerAtEsN0Db(snr_db);
-            spec.seed = seed;
-            noisy = fec::channelHard(std::move(noisy), spec);
-        }
-        if (protectIt) {
-            fec::RecoverResult rec = fec::recover(noisy);
-            noisy = std::move(rec.stream);
-            stats = std::move(rec.stats);
-        }
-        const DecodeCapture got = decodeCapture(noisy);
-
-        // Scene PSNR with freeze-frame: a frame time whose VOP never
-        // arrived scores the last displayed frame against the source.
-        double psnr_sum = 0;
-        int scored = 0;
-        const std::vector<uint8_t> *last = nullptr;
-        for (int t = 0; t < wl.frames; ++t) {
-            const auto it = got.lumaByTs.find(t);
-            if (it != got.lumaByTs.end())
-                last = &it->second;
-            if (last) {
-                psnr_sum += psnr(refs[t], *last);
-                ++scored;
-            }
-        }
-        cell.scenePsnr += scored ? psnr_sum / scored : 0.0;
-        cell.displayedPct += 100.0 * got.stats.displayed / wl.frames;
-        cell.blocksCorrected +=
-            static_cast<double>(stats.blocksCorrected);
-        cell.blocksUncorrectable +=
-            static_cast<double>(stats.blocksUncorrectable);
-        cell.corruptVops += got.stats.corruptedVops;
-        cell.concealedMbs += got.stats.mb.concealedMbs;
-    }
-    const double n = static_cast<double>(std::size(kSeeds));
-    cell.scenePsnr /= n;
-    cell.displayedPct /= n;
-    cell.blocksCorrected /= n;
-    cell.blocksUncorrectable /= n;
-    cell.corruptVops /= n;
-    cell.concealedMbs /= n;
-    return cell;
 }
 
 /**
@@ -348,12 +264,14 @@ fecSweep(int argc, char **argv)
     // scene reference depends only on (size, seed), shared by all.
     std::vector<std::vector<uint8_t>> streams;
     std::vector<core::Workload> wls;
+    std::vector<service::JobSpec> jobs;
     for (const FecConfigRow &c : kFecConfigs) {
+        jobs.push_back(service::parseSpecLine(c.name, c.fecKeys));
         wls.push_back(fecWorkload(c));
         streams.push_back(
             core::ExperimentRunner::encodeUntraced(wls.back()));
     }
-    const std::vector<std::vector<uint8_t>> refs = sceneLumas(wls[0]);
+    const std::map<int, std::vector<uint8_t>> refs = sceneLumas(wls[0]);
 
     // Price the contenders: source bytes, wire symbols (the budget
     // unit: one per coded bit; framing and cleartext bytes count 8),
@@ -364,19 +282,18 @@ fecSweep(int argc, char **argv)
     std::vector<double> wireSymbols;
     for (size_t i = 0; i < std::size(kFecConfigs); ++i) {
         const FecConfigRow &c = kFecConfigs[i];
+        service::JobSpec job = jobs[i];
         double syms;
-        if (std::string(c.mode) == "off") {
+        if (!job.fecEnabled()) {
             syms = 8.0 * static_cast<double>(streams[i].size());
         } else {
             // Hard wire form packs 8 symbols per byte; measuring with
             // it prices hard and soft identically (the soft wire form
             // spends a byte per symbol only as an LLR container).
-            fec::FecConfig cfg;
-            cfg.decision = fec::Decision::Hard;
-            cfg.rate = c.rate;
-            cfg.interleaveDepth = c.interleaveDepth;
+            job.fecMode = "hard";
             syms = 8.0 * static_cast<double>(
-                             fec::protect(streams[i], cfg).size());
+                             fec::protect(streams[i], job.fecConfig())
+                                 .size());
         }
         wireSymbols.push_back(syms);
         price.row({c.name, TextTable::num(streams[i].size(), 0),
@@ -387,8 +304,8 @@ fecSweep(int argc, char **argv)
     price.print();
     std::cout << "\n";
 
-    std::vector<std::vector<FecCell>> cells(std::size(kFecConfigs));
-    FecCell resync68, hard68, soft68;
+    std::vector<std::vector<Cell>> cells(std::size(kFecConfigs));
+    Cell resync68, hard68, soft68;
     TextTable sweep("Es/N0 sweep: scene PSNR at the equal wire "
                     "budget (hard-equivalent BER in header)");
     sweep.header({"config", "Es/N0 dB", "~BER", "PSNR dB",
@@ -396,13 +313,14 @@ fecSweep(int argc, char **argv)
                   "corrupt VOPs"});
     for (size_t i = 0; i < std::size(kFecConfigs); ++i) {
         for (const double snr : kSnrsDb) {
-            const FecCell cell =
-                runFecCell(kFecConfigs[i], streams[i], refs, wls[i],
-                           snr);
+            fec::ChannelSpec channel;
+            channel.esN0Db = snr;
+            const Cell cell =
+                runCell(streams[i], jobs[i], channel, refs, wls[i].frames);
             cells[i].push_back(cell);
             sweep.row({kFecConfigs[i].name, TextTable::num(snr, 1),
                        TextTable::num(fec::hardBerAtEsN0Db(snr), 6),
-                       TextTable::num(cell.scenePsnr, 2),
+                       TextTable::num(cell.meanPsnr, 2),
                        TextTable::num(cell.displayedPct, 1),
                        TextTable::num(cell.blocksCorrected, 1),
                        TextTable::num(cell.blocksUncorrectable, 1),
@@ -436,8 +354,9 @@ fecSweep(int argc, char **argv)
         std::vector<bench::BenchEntry> entries;
         for (size_t i = 0; i < std::size(kFecConfigs); ++i) {
             const FecConfigRow &c = kFecConfigs[i];
+            const service::JobSpec &job = jobs[i];
             for (size_t k = 0; k < std::size(kSnrsDb); ++k) {
-                const FecCell &cell = cells[i][k];
+                const Cell &cell = cells[i][k];
                 bench::BenchEntry e;
                 e.bench = std::string("fec/") + c.name + "@" +
                           TextTable::num(kSnrsDb[k], 1) + "dB";
@@ -452,13 +371,11 @@ fecSweep(int argc, char **argv)
                 e.config.add("es_n0_db", JsonValue::of(kSnrsDb[k]));
                 e.config.add("hard_ber", JsonValue::of(
                                  fec::hardBerAtEsN0Db(kSnrsDb[k])));
-                e.config.add("fec", JsonValue::of(std::string(
-                                        c.mode)));
-                e.config.add("fec_rate", JsonValue::of(std::string(
-                                             fec::rateName(c.rate))));
+                e.config.add("fec", JsonValue::of(job.fecMode));
+                e.config.add("fec_rate", JsonValue::of(job.fecRate));
                 e.config.add("interleave_depth",
                              JsonValue::of(int64_t(
-                                 c.interleaveDepth)));
+                                 job.interleaveDepth)));
                 e.config.add("source_bps",
                              JsonValue::of(wls[i].targetBps));
                 e.metrics.add("source_bytes",
@@ -467,7 +384,7 @@ fecSweep(int argc, char **argv)
                 e.metrics.add("wire_symbols",
                               JsonValue::of(wireSymbols[i]));
                 e.metrics.add("scene_psnr_db",
-                              JsonValue::of(cell.scenePsnr));
+                              JsonValue::of(cell.meanPsnr));
                 e.metrics.add("displayed_pct",
                               JsonValue::of(cell.displayedPct));
                 e.metrics.add("fec_blocks_corrected",
@@ -498,12 +415,12 @@ fecSweep(int argc, char **argv)
                      "run)\n";
         return true;
     }
-    const bool hard_wins = hard68.scenePsnr > resync68.scenePsnr;
-    const bool soft_wins = soft68.scenePsnr > resync68.scenePsnr;
+    const bool hard_wins = hard68.meanPsnr > resync68.meanPsnr;
+    const bool soft_wins = soft68.meanPsnr > resync68.meanPsnr;
     std::cout << "fec self-check at 6.8 dB (BER ~1e-3): "
-              << "fec-hard-1/2 " << hard68.scenePsnr
-              << " dB, fec-soft-1/2 " << soft68.scenePsnr
-              << " dB, resync-only " << resync68.scenePsnr
+              << "fec-hard-1/2 " << hard68.meanPsnr
+              << " dB, fec-soft-1/2 " << soft68.meanPsnr
+              << " dB, resync-only " << resync68.meanPsnr
               << " dB (both FEC configs must win)\n";
     if (!hard_wins || !soft_wins) {
         std::cerr << "FATAL: fec self-check failed\n";
@@ -523,13 +440,14 @@ main(int argc, char **argv)
 
     // Encode the three configurations once each.
     std::vector<std::vector<uint8_t>> streams;
-    std::vector<DecodeCapture> cleans;
+    std::vector<std::map<int, std::vector<uint8_t>>> cleans;
     std::vector<core::Workload> wls;
     for (const Config &c : kConfigs) {
         wls.push_back(sweepWorkload(c));
         streams.push_back(
             core::ExperimentRunner::encodeUntraced(wls.back()));
-        cleans.push_back(decodeCapture(streams.back()));
+        cleans.emplace_back();
+        decodeCapture(streams.back(), cleans.back());
     }
 
     TextTable overhead("Resync overhead: resilience syntax priced "
@@ -561,8 +479,10 @@ main(int argc, char **argv)
                   "corrupt VOPs", "corrupt pkts", "concealed MBs"});
     for (size_t i = 0; i < std::size(kConfigs); ++i) {
         for (const double ber : kBers) {
-            const Cell cell =
-                runCell(streams[i], cleans[i], wls[i].frames, ber);
+            fec::ChannelSpec channel;
+            channel.faults.ber = ber;
+            const Cell cell = runCell(streams[i], service::JobSpec(),
+                                      channel, cleans[i], wls[i].frames);
             cells[i].push_back(cell);
             sweep.row({kConfigs[i].name,
                        ber == 0 ? "0" : TextTable::num(ber, 7),
@@ -644,13 +564,11 @@ main(int argc, char **argv)
 
     // Memory behaviour of concealment: one traced decode at 1e-5.
     {
-        codec::FaultSpec spec;
-        spec.ber = 1e-5;
-        spec.seed = kSeeds[0];
-        spec.protectPrefixBytes =
-            codec::protectableHeaderBytes(streams[1]);
-        auto noisy = codec::injectFaults(
-            std::vector<uint8_t>(streams[1]), spec);
+        fec::ChannelSpec channel;
+        channel.faults.ber = 1e-5;
+        channel.faults.seed = kSeeds[0];
+        const std::vector<uint8_t> noisy =
+            fec::transmit(streams[1], channel, nullptr);
         codec::DecodeOptions opts;
         opts.tolerant = true;
         const core::MachineConfig m = core::o2R12k1MB();

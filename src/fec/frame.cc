@@ -436,4 +436,20 @@ hardBerAtEsN0Db(double es_n0_db)
     return 0.5 * std::erfc(std::sqrt(std::pow(10.0, es_n0_db / 10.0)));
 }
 
+std::vector<uint8_t>
+transmit(std::vector<uint8_t> stream, const ChannelSpec &ch,
+         const FecConfig *wire)
+{
+    if (wire != nullptr && wire->decision == Decision::Soft && ch.esN0Db)
+        return channelSoft(std::move(stream), *ch.esN0Db, ch.faults.seed,
+                           ch.faults.truncateFraction);
+    codec::FaultSpec faults = ch.faults;
+    if (ch.esN0Db)
+        faults.ber = hardBerAtEsN0Db(*ch.esN0Db);
+    if (wire != nullptr)
+        return channelHard(std::move(stream), faults);
+    faults.protectPrefixBytes = codec::protectableHeaderBytes(stream);
+    return codec::injectFaults(std::move(stream), faults);
+}
+
 } // namespace m4ps::fec

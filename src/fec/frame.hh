@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "codec/faultinject.hh"
@@ -146,6 +147,28 @@ std::vector<uint8_t> channelSoft(std::vector<uint8_t> framed,
 
 /** Hard-decision BER equivalent of an AWGN Es/N0: Q(sqrt(2 Es/N0)). */
 double hardBerAtEsN0Db(double es_n0_db);
+
+/**
+ * A lossy channel: FaultSpec damage, or AWGN at an Es/N0 (dB).  A soft
+ * wire takes the AWGN as LLRs; other wires see its hard-equivalent
+ * BER in place of faults.ber.
+ */
+struct ChannelSpec
+{
+    codec::FaultSpec faults;
+    std::optional<double> esN0Db;
+};
+
+/**
+ * Send @p stream over @p ch (docs/FEC.md "Channels").  @p wire is the
+ * FecConfig @p stream was protect()ed with, or nullptr for a clear
+ * stream, which goes through injectFaults() with its session headers
+ * protected.  A soft wire with an Es/N0 goes through channelSoft()
+ * (seed and truncation from faults), any other wire channelHard().
+ */
+std::vector<uint8_t> transmit(std::vector<uint8_t> stream,
+                              const ChannelSpec &ch,
+                              const FecConfig *wire);
 
 } // namespace m4ps::fec
 

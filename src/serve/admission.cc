@@ -66,11 +66,11 @@ AdmissionController::checkClass(const std::string &cls, int64_t nowMs)
 }
 
 void
-AdmissionController::release(const std::string &cls, bool wasProbe,
-                             SessionEnd end, int64_t nowMs)
+AdmissionController::reportOutcome(const std::string &cls,
+                                   bool wasProbe, SessionEnd end,
+                                   int64_t nowMs)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    active_ = std::max(0, active_ - 1);
     service::CircuitBreaker &b = breakerFor(cls);
     switch (end) {
       case SessionEnd::Success:
@@ -87,7 +87,7 @@ AdmissionController::release(const std::string &cls, bool wasProbe,
 }
 
 void
-AdmissionController::releaseUnclassified()
+AdmissionController::release()
 {
     std::lock_guard<std::mutex> lock(mu_);
     active_ = std::max(0, active_ - 1);

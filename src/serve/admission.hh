@@ -94,12 +94,12 @@ class AdmissionController
      */
     AdmitDecision checkClass(const std::string &cls, int64_t nowMs);
 
-    /** Release the slot and report the outcome for the breaker. */
-    void release(const std::string &cls, bool wasProbe, SessionEnd end,
-                 int64_t nowMs);
+    /** Report a classed session's outcome to its class's breaker. */
+    void reportOutcome(const std::string &cls, bool wasProbe,
+                       SessionEnd end, int64_t nowMs);
 
-    /** Release a slot for a connection that never reached a class. */
-    void releaseUnclassified();
+    /** Free the session slot taken by tryAdmit(). */
+    void release();
 
     /** Stop admitting: every tryAdmit sheds with Draining. */
     void beginDrain();

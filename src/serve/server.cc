@@ -3,19 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "codec/decoder.hh"
 #include "memsim/address_space.hh"
 #include "core/runner.hh"
 #include "serve/net.hh"
 #include "serve/protocol.hh"
-#include "service/checkpoint.hh"
+#include "service/pipeline.hh"
 #include "support/obs/obs.hh"
-#include "support/serialize.hh"
 
 namespace m4ps::serve
 {
@@ -29,30 +26,6 @@ monoMs()
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-fec::FecConfig
-fecConfigOf(const service::JobSpec &spec)
-{
-    fec::FecConfig cfg;
-    cfg.decision = spec.fecMode == "soft" ? fec::Decision::Soft
-                                          : fec::Decision::Hard;
-    if (!fec::parseRate(spec.fecRate, cfg.rate))
-        throw service::ManifestError(
-            "fec-rate must be 1/2, 2/3, or 3/4");
-    cfg.interleaveDepth = spec.interleaveDepth;
-    return cfg;
-}
-
-bool
-readFile(const std::string &path, std::vector<uint8_t> &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    out.assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-    return true;
 }
 
 } // namespace
@@ -719,11 +692,8 @@ Server::runEncodeSession(Session &s, service::JobSpec &spec)
     core::SceneFeeder feeder(ctx, w);
     codec::Mpeg4Encoder enc(ctx, w.encoderConfig());
 
-    fec::FecConfig fcfg;
-    const bool fecOn = spec.fecEnabled();
-    if (fecOn)
-        fcfg = fecConfigOf(spec);
-    const fec::FecConfig *fp = fecOn ? &fcfg : nullptr;
+    const fec::FecConfig fcfg = spec.fecConfig();
+    const fec::FecConfig *fp = spec.fecEnabled() ? &fcfg : nullptr;
 
     const double fps = std::max(w.frameRate, 1.0);
     size_t sent = 0;
@@ -734,15 +704,9 @@ Server::runEncodeSession(Session &s, service::JobSpec &spec)
         if (s.checkpointRequested.load()) {
             // Drain grace expired: persist progress so the work is
             // resumable, then yield the slot.
-            service::Checkpoint c;
-            c.configHash = spec.configHash();
-            c.nextFrame = t;
-            support::StateWriter sw;
-            enc.saveState(sw);
-            c.state = sw.take();
             s.checkpointFile = cfg_.checkpointDir + "/serve-" +
                                std::to_string(s.id) + ".ckpt";
-            service::saveCheckpoint(s.checkpointFile, c);
+            service::checkpointEncoder(s.checkpointFile, spec, t, enc);
             s.checkpointFrame = t;
             return Status::Checkpointed;
         }
@@ -768,15 +732,12 @@ Server::runEncodeSession(Session &s, service::JobSpec &spec)
         return st;
 
     if (spec.type == service::JobType::Transcode) {
-        // Verify pass: the streamed bytes must decode.
-        memsim::SimContext dctx;
-        codec::Mpeg4Decoder dec(dctx);
-        const codec::DecodeStats ds = dec.decode(
-            full, codec::Mpeg4Decoder::Sink(), spec.tolerant);
-        if (ds.vops == 0) {
-            s.errorText = "transcode verify decoded no VOPs";
-            return Status::InternalError;
-        }
+        // Verify pass: the streamed bytes must decode.  FEC framing
+        // wraps each packet on its own and the client recovers it
+        // there, so what arrives is the clear stream.
+        service::JobSpec clear = spec;
+        clear.fecMode = "off";
+        service::verifyTranscode(clear, full);
     }
     return Status::Ok;
 }
@@ -784,41 +745,13 @@ Server::runEncodeSession(Session &s, service::JobSpec &spec)
 Status
 Server::runDecodeSession(Session &s, service::JobSpec &spec)
 {
-    std::vector<uint8_t> stream;
-    if (!readFile(spec.input, stream)) {
-        s.errorText = "missing input '" + spec.input + "'";
-        return Status::InternalError;
-    }
-    memsim::SimContext ctx;
-    codec::Mpeg4Decoder dec(ctx);
-    fec::FecStats fecStats;
-    codec::DecodeStats ds;
-    if (spec.fecEnabled()) {
-        const fec::RecoverResult rec = fec::recover(stream);
-        fecStats = rec.stats;
-        ds = dec.decode(rec.stream, codec::Mpeg4Decoder::Sink(),
-                        spec.tolerant);
-    } else {
-        ds = dec.decode(stream, codec::Mpeg4Decoder::Sink(),
-                        spec.tolerant);
-    }
+    const service::DecodeOutcome d =
+        service::decodeStream(spec, service::readInput(spec));
     // The decode report travels as one DATA payload (never FEC
-    // framed; framing applies to bitstream bytes).
-    std::string report;
-    report += "vops " + std::to_string(ds.vops) + "\n";
-    report += "displayed " + std::to_string(ds.displayed) + "\n";
-    report +=
-        "corrupted_vops " + std::to_string(ds.corruptedVops) + "\n";
-    report +=
-        "header_errors " + std::to_string(ds.headerErrors) + "\n";
-    report += "total_bits " + std::to_string(ds.totalBits) + "\n";
-    if (spec.fecEnabled()) {
-        report += "fec_blocks " + std::to_string(fecStats.blocks) +
-                  "\n";
-        report += "fec_blocks_corrected " +
-                  std::to_string(fecStats.blocksCorrected) + "\n";
-    }
-    s.frames = ds.vops;
+    // framed; framing applies to bitstream bytes), summary lines only.
+    const std::string report =
+        service::decodeReport(d, /*fecDetail=*/false);
+    s.frames = d.stats.vops;
     return stageData(
         s, reinterpret_cast<const uint8_t *>(report.data()),
         report.size(), 0, nullptr, nullptr);
@@ -925,7 +858,17 @@ Server::sessionWorker(Session &s)
     if (haveRequest && verdict == Status::Ok)
         verdict = runSession(s, spec);
 
-    // Phase 4: terminal status (best-effort when the peer is gone).
+    // Phase 4: breaker verdict, then the terminal status (best-effort
+    // when the peer is gone).  The verdict goes first so a client that
+    // retries on its status already meets the updated breaker.
+    if (classed) {
+        SessionEnd end = SessionEnd::NoVerdict;
+        if (verdict == Status::Ok || verdict == Status::Checkpointed)
+            end = SessionEnd::Success;
+        else if (verdict == Status::InternalError)
+            end = SessionEnd::PermanentFailure;
+        admission_.reportOutcome(s.jobClass, isProbe, end, monoMs());
+    }
     if (!peerGone && verdict != Status::Canceled) {
         service::JsonEvent body("session_status");
         body.str("status", statusName(verdict))
@@ -959,18 +902,9 @@ Server::sessionWorker(Session &s)
     shutdownAndClose(s.fd);
     s.fd = -1;
 
-    // Phase 5: bookkeeping - breaker verdict, stats, event.
+    // Phase 5: bookkeeping - session slot, stats, event.
     const int64_t now = monoMs();
-    if (classed) {
-        SessionEnd end = SessionEnd::NoVerdict;
-        if (verdict == Status::Ok || verdict == Status::Checkpointed)
-            end = SessionEnd::Success;
-        else if (verdict == Status::InternalError)
-            end = SessionEnd::PermanentFailure;
-        admission_.release(s.jobClass, isProbe, end, now);
-    } else {
-        admission_.releaseUnclassified();
-    }
+    admission_.release();
     {
         std::lock_guard<std::mutex> lock(statsMu_);
         switch (verdict) {

@@ -3,9 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
+#include "support/fileio.hh"
 #include "support/serialize.hh"
 
 namespace m4ps::service
@@ -36,56 +34,17 @@ saveCheckpoint(const std::string &path, const Checkpoint &c)
     sw.bytes(c.state.data(), c.state.size());
     sw.u32(support::crc32(c.state.data(), c.state.size()));
 
-    // Durability: write the temp file, fsync it, then rename.  A
-    // rename alone orders the *name* change, not the data - after a
-    // power cut the new name can point at zero-length or partial
-    // content on many filesystems.  Syncing before the rename means
-    // the sidecar a restarted run finds is either the complete new
-    // checkpoint or the complete old one, never a torn one.
-    const std::string tmp = path + ".tmp";
-    {
-        const int fd = ::open(tmp.c_str(),
-                              O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd < 0)
-            throw std::runtime_error("cannot write checkpoint '" + tmp +
-                                     "'");
-        const auto &buf = sw.buffer();
-        size_t off = 0;
-        while (off < buf.size()) {
-            const ssize_t w = ::write(fd, buf.data() + off,
-                                      buf.size() - off);
-            if (w < 0) {
-                ::close(fd);
-                ::unlink(tmp.c_str());
-                throw std::runtime_error(
-                    "short write to checkpoint '" + tmp + "'");
-            }
-            off += static_cast<size_t>(w);
-        }
-        if (::fsync(fd) != 0) {
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            throw std::runtime_error("cannot sync checkpoint '" + tmp +
-                                     "'");
-        }
-        ::close(fd);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename checkpoint into '" +
-                                 path + "'");
-    }
+    support::writeFileAtomic(path, sw.buffer().data(),
+                             sw.buffer().size());
 }
 
 bool
 loadCheckpoint(const std::string &path, uint64_t configHash,
                Checkpoint *out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::vector<uint8_t> raw;
+    if (!support::readRegularFile(path, raw))
         return false;
-    std::vector<uint8_t> raw{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
     try {
         support::StateReader sr(raw);
         if (sr.u32() != kMagic || sr.u32() != kVersion)
@@ -104,7 +63,6 @@ loadCheckpoint(const std::string &path, uint64_t configHash,
     } catch (const support::SerializeError &) {
         // Unusable: truncated, corrupt, or written for a different
         // job configuration.  Drop it so the next save starts clean.
-        in.close();
         std::remove(path.c_str());
         return false;
     }

@@ -43,7 +43,7 @@ struct Checkpoint
 /** Sidecar path for an output stream path. */
 std::string checkpointPath(const std::string &output);
 
-/** Atomically write @p c to @p path (temp file + rename). */
+/** Durably write @p c to @p path (support::writeFileAtomic). */
 void saveCheckpoint(const std::string &path, const Checkpoint &c);
 
 /**

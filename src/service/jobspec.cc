@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "fec/puncture.hh"
 #include "support/serialize.hh"
 
 namespace m4ps::service
@@ -212,6 +211,17 @@ JobSpec::validate() const
     if (type != JobType::Decode && output.empty())
         reject(std::string(jobTypeName(type)) +
                " jobs need out=<stream file>");
+}
+
+fec::FecConfig
+JobSpec::fecConfig() const
+{
+    fec::FecConfig cfg;
+    cfg.decision = fecMode == "soft" ? fec::Decision::Soft
+                                     : fec::Decision::Hard;
+    fec::parseRate(fecRate, cfg.rate); // validate() vetted fecRate
+    cfg.interleaveDepth = interleaveDepth;
+    return cfg;
 }
 
 std::string

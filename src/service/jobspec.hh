@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/workload.hh"
+#include "fec/frame.hh"
 
 namespace m4ps::service
 {
@@ -103,6 +104,12 @@ struct JobSpec
 
     /** FEC requested (any mode but "off"). */
     bool fecEnabled() const { return fecMode != "off"; }
+
+    /**
+     * The framing protect() applies when fecEnabled().  The spec
+     * must have passed validate().
+     */
+    fec::FecConfig fecConfig() const;
 
     /**
      * Measure host PMU counters over the job (perfctr; falls back to

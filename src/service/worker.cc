@@ -5,23 +5,22 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
-#include "codec/decoder.hh"
 #include "codec/error.hh"
 #include "codec/kernels/kernels.hh"
 #include "core/perfreport.hh"
 #include "core/runner.hh"
 #include "fec/frame.hh"
 #include "service/checkpoint.hh"
+#include "service/pipeline.hh"
 #include "support/args.hh"
+#include "support/fileio.hh"
 #include "support/json.hh"
 #include "support/obs/obs.hh"
 #include "support/perfctr/perfctr.hh"
-#include "support/serialize.hh"
 
 namespace m4ps::service
 {
@@ -58,54 +57,9 @@ maybeInjectFault(const JobSpec &spec, int vopsBefore, int vopsAfter)
     }
 }
 
-/** Atomic whole-file write (temp + rename). */
-void
-writeFileAtomic(const std::string &path, const uint8_t *data, size_t n)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("cannot write '" + tmp + "'");
-        out.write(reinterpret_cast<const char *>(data),
-                  static_cast<std::streamsize>(n));
-        out.flush();
-        if (!out)
-            throw std::runtime_error("short write to '" + tmp + "'");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename into '" + path + "'");
-    }
-}
-
-bool
-readFile(const std::string &path, std::vector<uint8_t> &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    out.assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-    return true;
-}
-
-/** FEC framing parameters of a spec (docs/FEC.md). */
-fec::FecConfig
-fecConfigOf(const JobSpec &spec)
-{
-    fec::FecConfig cfg;
-    cfg.decision = spec.fecMode == "soft" ? fec::Decision::Soft
-                                          : fec::Decision::Hard;
-    if (!fec::parseRate(spec.fecRate, cfg.rate))
-        throw ManifestError("fec-rate must be 1/2, 2/3, or 3/4");
-    cfg.interleaveDepth = spec.interleaveDepth;
-    return cfg;
-}
-
 /**
  * Encode the spec's workload, checkpointing after every frame time.
- * Returns the finished elementary stream.
+ * Returns the finished (FEC-framed when the spec asks) stream.
  */
 std::vector<uint8_t>
 encodeSupervised(const JobSpec &spec)
@@ -117,32 +71,19 @@ encodeSupervised(const JobSpec &spec)
     codec::Mpeg4Encoder enc(ctx, w.encoderConfig());
 
     const std::string ckpt = checkpointPath(spec.output);
-    int start = 0;
-    if (spec.checkpoint) {
-        Checkpoint c;
-        if (loadCheckpoint(ckpt, spec.configHash(), &c)) {
-            support::StateReader sr(c.state);
-            enc.restoreState(sr);
-            start = c.nextFrame;
-            std::fprintf(stderr,
-                         "worker %s: resumed from checkpoint, "
-                         "frame %d of %d\n",
-                         spec.id.c_str(), start, w.frames);
-        }
-    }
+    const int start = spec.checkpoint ? restoreEncoder(ckpt, spec, enc)
+                                      : 0;
+    if (start > 0)
+        std::fprintf(stderr,
+                     "worker %s: resumed from checkpoint, "
+                     "frame %d of %d\n",
+                     spec.id.c_str(), start, w.frames);
 
     for (int t = start; t < w.frames; ++t) {
         const int vopsBefore = enc.stats().vops;
         enc.encodeFrame(feeder.inputs(t), t);
-        if (spec.checkpoint) {
-            Checkpoint c;
-            c.configHash = spec.configHash();
-            c.nextFrame = t + 1;
-            support::StateWriter sw;
-            enc.saveState(sw);
-            c.state = sw.take();
-            saveCheckpoint(ckpt, c);
-        }
+        if (spec.checkpoint)
+            checkpointEncoder(ckpt, spec, t + 1, enc);
         // After the checkpoint: a resumed attempt starts past the
         // trigger and the fault does not fire twice.
         maybeInjectFault(spec, vopsBefore, enc.stats().vops);
@@ -152,104 +93,12 @@ encodeSupervised(const JobSpec &spec)
     if (spec.fecEnabled()) {
         // Frame the finished stream; checkpoints stay in elementary-
         // stream space (protect() runs once at the end, not per VOP).
-        stream = fec::protect(stream, fecConfigOf(spec));
+        stream = fec::protect(stream, spec.fecConfig());
     }
-    writeFileAtomic(spec.output, stream.data(), stream.size());
+    support::writeFileAtomic(spec.output, stream.data(), stream.size());
     if (spec.checkpoint)
         removeCheckpoint(ckpt);
     return stream;
-}
-
-/**
- * Decode @p stream (recovering FEC framing first when the spec asks
- * for it); throws codec::DecodeError in strict mode.  @p fecStats is
- * filled when FEC ran.
- */
-codec::DecodeStats
-decodeStream(const JobSpec &spec, const std::vector<uint8_t> &stream,
-             fec::FecStats *fecStats = nullptr)
-{
-    memsim::SimContext ctx;
-    codec::Mpeg4Decoder dec(ctx);
-    if (spec.fecEnabled()) {
-        // Protect-then-conceal: Viterbi first, then whatever it could
-        // not fix falls through to the tolerant decoder.
-        fec::RecoverResult rec = fec::recover(stream);
-        if (fecStats)
-            *fecStats = rec.stats;
-        return dec.decode(rec.stream, codec::Mpeg4Decoder::Sink(),
-                          spec.tolerant);
-    }
-    return dec.decode(stream, codec::Mpeg4Decoder::Sink(),
-                      spec.tolerant);
-}
-
-void
-writeDecodeReport(const std::string &path, const codec::DecodeStats &s,
-                  const JobSpec &spec, const fec::FecStats *f)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("cannot write report '" + path + "'");
-    out << "vops " << s.vops << "\n"
-        << "displayed " << s.displayed << "\n"
-        << "corrupted_vops " << s.corruptedVops << "\n"
-        << "header_errors " << s.headerErrors << "\n"
-        << "total_bits " << s.totalBits << "\n";
-    if (spec.fecEnabled() && f) {
-        out << "fec_blocks " << f->blocks << "\n"
-            << "fec_blocks_corrected " << f->blocksCorrected << "\n"
-            << "fec_blocks_uncorrectable " << f->blocksUncorrectable
-            << "\n"
-            << "fec_framing_errors " << f->framingErrors << "\n"
-            << "fec_corrected_bits " << f->correctedBits << "\n";
-        for (const auto &v : f->perVop) {
-            if (v.vop < 0)
-                continue;
-            out << "fec_vop" << v.vop << " " << v.blocks << " "
-                << v.corrected << " " << v.uncorrectable << "\n";
-        }
-    }
-}
-
-int
-runEncode(const JobSpec &spec)
-{
-    encodeSupervised(spec);
-    return kWorkerOk;
-}
-
-int
-runDecode(const JobSpec &spec)
-{
-    std::vector<uint8_t> stream;
-    if (!readFile(spec.input, stream)) {
-        std::fprintf(stderr, "worker %s: missing input '%s'\n",
-                     spec.id.c_str(), spec.input.c_str());
-        return kWorkerPermanent;
-    }
-    fec::FecStats fecStats;
-    const codec::DecodeStats stats =
-        decodeStream(spec, stream, &fecStats);
-    if (!spec.output.empty())
-        writeDecodeReport(spec.output, stats, spec, &fecStats);
-    return kWorkerOk;
-}
-
-int
-runTranscode(const JobSpec &spec)
-{
-    // encodeSupervised returns the FEC-framed stream when fec is on,
-    // so the verify decode exercises the full recover path too.
-    const std::vector<uint8_t> stream = encodeSupervised(spec);
-    const codec::DecodeStats stats = decodeStream(spec, stream);
-    if (stats.vops == 0) {
-        std::fprintf(stderr,
-                     "worker %s: transcode verify decoded no VOPs\n",
-                     spec.id.c_str());
-        return kWorkerPermanent;
-    }
-    return kWorkerOk;
 }
 
 /**
@@ -310,11 +159,7 @@ class TraceShardScope
         try {
             std::ostringstream os;
             obs::writeChromeTrace(os);
-            const std::string doc = os.str();
-            writeFileAtomic(
-                path_,
-                reinterpret_cast<const uint8_t *>(doc.data()),
-                doc.size());
+            support::writeFileAtomic(path_, os.str());
         } catch (...) {
             // A failed shard write must not change the job verdict.
         }
@@ -335,16 +180,27 @@ runJob(const JobSpec &spec)
         if (spec.perf)
             perfctr::setEnabled(true);
         perfctr::PerfRegion perf("perf", "job");
-        int rc = kWorkerPermanent;
+        // Every step throws on failure (service/pipeline.hh).
         switch (spec.type) {
-          case JobType::Encode:    rc = runEncode(spec); break;
-          case JobType::Decode:    rc = runDecode(spec); break;
-          case JobType::Transcode: rc = runTranscode(spec); break;
+          case JobType::Encode:
+            encodeSupervised(spec);
+            break;
+          case JobType::Decode: {
+            const DecodeOutcome d = decodeStream(spec, readInput(spec));
+            if (!spec.output.empty())
+                support::writeFileAtomic(spec.output, decodeReport(d, true));
+            break;
+          }
+          case JobType::Transcode:
+            // The FEC-framed stream when fec is on, so the verify
+            // decode exercises the full recover path too.
+            verifyTranscode(spec, encodeSupervised(spec));
+            break;
         }
         const perfctr::Counts hw = perf.stop();
-        if (rc == kWorkerOk && spec.perf && !spec.reportOut.empty())
+        if (spec.perf && !spec.reportOut.empty())
             writeJobPerfReport(spec, hw);
-        return rc;
+        return kWorkerOk;
     } catch (const ManifestError &e) {
         std::fprintf(stderr, "worker %s: bad spec: %s\n",
                      spec.id.c_str(), e.what());

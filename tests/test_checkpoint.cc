@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
 #include "core/runner.hh"
 #include "service/checkpoint.hh"
 #include "service/jobspec.hh"
+#include "support/fileio.hh"
 #include "support/serialize.hh"
 
 namespace m4ps::service
@@ -141,7 +145,12 @@ class CheckpointFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = testing::TempDir() + "m4ps_ckpt_test.bin";
+        // One file per test and process: tests run in parallel.
+        path_ = testing::TempDir() + "m4ps_ckpt_" +
+                testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + std::to_string(::getpid()) + ".bin";
         std::remove(path_.c_str());
     }
 
@@ -203,28 +212,73 @@ TEST_F(CheckpointFileTest, CorruptPayloadIsRejected)
     EXPECT_FALSE(loadCheckpoint(path_, 7, &back));
 }
 
+/**
+ * Overwrite @p path three times through @p write(i) and check that no
+ * temp file is left behind: a crash between writes can never leave a
+ * torn file under the final name.
+ */
+template <typename Write>
+void
+expectAtomicOverwrites(const std::string &path, Write write)
+{
+    for (int i = 1; i <= 3; ++i)
+        write(i);
+    std::ifstream residue(path + ".tmp", std::ios::binary);
+    EXPECT_FALSE(residue.good()) << "temp file left behind";
+}
+
+bool
+exists(const std::string &path)
+{
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0;
+}
+
 TEST_F(CheckpointFileTest, SaveIsAtomicAndLeavesNoTempResidue)
 {
-    // saveCheckpoint writes through a temp sidecar (fsync before
-    // rename): after any number of overwrites the durable file is
-    // the newest complete checkpoint and the temp file is gone - a
-    // crash between saves can never leave a torn checkpoint behind
-    // under the final name.
-    for (int i = 1; i <= 3; ++i) {
+    // saveCheckpoint writes through support::writeFileAtomic: after
+    // any number of overwrites the durable file is the newest
+    // complete checkpoint.
+    expectAtomicOverwrites(path_, [this](int i) {
         Checkpoint c;
         c.configHash = 42;
         c.nextFrame = i;
         c.state.assign(static_cast<size_t>(i) * 100,
                        static_cast<uint8_t>(i));
         saveCheckpoint(path_, c);
-    }
-    std::ifstream residue(path_ + ".tmp", std::ios::binary);
-    EXPECT_FALSE(residue.good()) << "temp sidecar left behind";
-
+    });
     Checkpoint back;
     ASSERT_TRUE(loadCheckpoint(path_, 42, &back));
     EXPECT_EQ(back.nextFrame, 3);
     EXPECT_EQ(back.state.size(), 300u);
+}
+
+TEST_F(CheckpointFileTest, WriteFileAtomicOverwritesWithoutTempResidue)
+{
+    expectAtomicOverwrites(path_, [this](int i) {
+        support::writeFileAtomic(path_, std::string(4 - i, 'a' + i));
+    });
+    std::vector<uint8_t> back;
+    ASSERT_TRUE(support::readRegularFile(path_, back));
+    EXPECT_EQ(std::string(back.begin(), back.end()), "d");
+}
+
+TEST_F(CheckpointFileTest, WriteFileAtomicFailureThrowsAndLeavesNoTemp)
+{
+    // A directory that cannot take the temp file.  (A missing one:
+    // file modes do not stop root, under which CI may run.)
+    const std::string missingDir = path_ + ".no_such_dir/out.bin";
+    EXPECT_THROW(support::writeFileAtomic(missingDir, "x"),
+                 std::runtime_error);
+    EXPECT_FALSE(exists(missingDir + ".tmp"));
+
+    // The rename fails after the temp file was written: a directory
+    // sits under the target name.  Nothing of the attempt remains.
+    ASSERT_EQ(::mkdir(path_.c_str(), 0755), 0);
+    EXPECT_THROW(support::writeFileAtomic(path_, "x"),
+                 std::runtime_error);
+    EXPECT_FALSE(exists(path_ + ".tmp"));
+    ::rmdir(path_.c_str());
 }
 
 TEST_F(CheckpointFileTest, MissingFileLoadsNothing)

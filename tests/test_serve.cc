@@ -310,7 +310,8 @@ TEST(ServeAdmission, WatermarkShedsOverloadedAndReleaseFreesSlot)
     EXPECT_EQ(ac.active(), 2);
     EXPECT_DOUBLE_EQ(ac.sessionLoad(), 1.0);
 
-    ac.release("encode", false, SessionEnd::Success, 0);
+    ac.reportOutcome("encode", false, SessionEnd::Success, 0);
+    ac.release();
     EXPECT_TRUE(ac.tryAdmit(0).admitted);
     EXPECT_EQ(ac.admitted(), 3u);
     EXPECT_EQ(ac.shed(), 1u);
@@ -341,18 +342,21 @@ TEST(ServeAdmission, ClassBreakerOpensProbesAndCloses)
     for (int i = 0; i < 2; ++i) {
         ASSERT_TRUE(ac.tryAdmit(now).admitted);
         ASSERT_TRUE(ac.checkClass("encode", now).admitted);
-        ac.release("encode", false, SessionEnd::PermanentFailure, now);
+        ac.reportOutcome("encode", false, SessionEnd::PermanentFailure,
+                         now);
+        ac.release();
     }
     ASSERT_TRUE(ac.tryAdmit(now).admitted);
     AdmitDecision d = ac.checkClass("encode", now);
     EXPECT_FALSE(d.admitted);
     EXPECT_EQ(d.shedStatus, Status::BreakerOpen);
-    ac.releaseUnclassified();
+    ac.release();
 
     // Other classes are unaffected: breakers are per-class.
     ASSERT_TRUE(ac.tryAdmit(now).admitted);
     EXPECT_TRUE(ac.checkClass("decode", now).admitted);
-    ac.release("decode", false, SessionEnd::Success, now);
+    ac.reportOutcome("decode", false, SessionEnd::Success, now);
+    ac.release();
 
     // After the cooldown, exactly one probe; its success closes.
     now += 1001;
@@ -362,14 +366,16 @@ TEST(ServeAdmission, ClassBreakerOpensProbesAndCloses)
     EXPECT_TRUE(d.isProbe);
     ASSERT_TRUE(ac.tryAdmit(now).admitted);
     EXPECT_FALSE(ac.checkClass("encode", now).admitted);
-    ac.releaseUnclassified();
-    ac.release("encode", true, SessionEnd::Success, now);
+    ac.release();
+    ac.reportOutcome("encode", true, SessionEnd::Success, now);
+    ac.release();
 
     ASSERT_TRUE(ac.tryAdmit(now).admitted);
     d = ac.checkClass("encode", now);
     EXPECT_TRUE(d.admitted);
     EXPECT_FALSE(d.isProbe); // closed: normal admission again
-    ac.release("encode", false, SessionEnd::Success, now);
+    ac.reportOutcome("encode", false, SessionEnd::Success, now);
+    ac.release();
 }
 
 TEST(ServeAdmission, AbortedProbeReleasesTheSlotForTheNextProbe)
@@ -382,21 +388,48 @@ TEST(ServeAdmission, AbortedProbeReleasesTheSlotForTheNextProbe)
 
     ASSERT_TRUE(ac.tryAdmit(now).admitted);
     ASSERT_TRUE(ac.checkClass("encode", now).admitted);
-    ac.release("encode", false, SessionEnd::PermanentFailure, now);
+    ac.reportOutcome("encode", false, SessionEnd::PermanentFailure,
+                     now);
+    ac.release();
 
     now += 101;
     ASSERT_TRUE(ac.tryAdmit(now).admitted);
     AdmitDecision d = ac.checkClass("encode", now);
     ASSERT_TRUE(d.admitted && d.isProbe);
     // The probing client vanishes mid-flight: no verdict either way.
-    ac.release("encode", true, SessionEnd::NoVerdict, now);
+    ac.reportOutcome("encode", true, SessionEnd::NoVerdict, now);
+    ac.release();
 
     // The half-open slot must be free again for the next candidate.
     ASSERT_TRUE(ac.tryAdmit(now).admitted);
     d = ac.checkClass("encode", now);
     EXPECT_TRUE(d.admitted);
     EXPECT_TRUE(d.isProbe);
-    ac.release("encode", true, SessionEnd::Success, now);
+    ac.reportOutcome("encode", true, SessionEnd::Success, now);
+    ac.release();
+}
+
+TEST(ServeAdmission, OutcomeReachesTheBreakerBeforeTheSlotFrees)
+{
+    AdmissionConfig cfg;
+    cfg.maxSessions = 2;
+    cfg.breakerThreshold = 1;
+    cfg.breakerCooldownMs = 1000;
+    AdmissionController ac(cfg);
+
+    ASSERT_TRUE(ac.tryAdmit(0).admitted);
+    ASSERT_TRUE(ac.checkClass("decode", 0).admitted);
+    ac.reportOutcome("decode", false, SessionEnd::PermanentFailure, 0);
+    // The failed session still holds its slot, yet the next session
+    // of its class already meets the open breaker.
+    EXPECT_EQ(ac.active(), 1);
+    ASSERT_TRUE(ac.tryAdmit(0).admitted);
+    const AdmitDecision d = ac.checkClass("decode", 0);
+    EXPECT_FALSE(d.admitted);
+    EXPECT_EQ(d.shedStatus, Status::BreakerOpen);
+    ac.release();
+    ac.release();
+    EXPECT_EQ(ac.active(), 0);
 }
 
 // --- DegradationLadder -------------------------------------------------

@@ -18,9 +18,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 
 #include "service/supervisor.hh"
 #include "support/args.hh"
+#include "support/fileio.hh"
 #include "support/obs/obs.hh"
 
 namespace
@@ -210,24 +212,18 @@ batchMain(int argc, char **argv)
     }
     if (!shard_dir.empty()) {
         // The supervisor's own shard, next to the workers' (they
-        // wrote theirs on exit).  Temp-then-rename so m4ps_tracecat
-        // never reads a torn shard.
+        // wrote theirs on exit).  Atomic so m4ps_tracecat never reads
+        // a torn shard.
         const std::string shard = shard_dir + "/trace-" +
                                   batchTraceId + "-" +
                                   std::to_string(::getpid()) +
                                   ".json";
-        const std::string tmp = shard + ".tmp";
-        std::ofstream os(tmp, std::ios::binary);
-        if (os) {
-            obs::writeChromeTrace(os);
-            os.flush();
-            os.close();
-            std::rename(tmp.c_str(), shard.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "m4ps_batch: cannot write trace shard "
-                         "'%s'\n",
-                         shard.c_str());
+        std::ostringstream os;
+        obs::writeChromeTrace(os);
+        try {
+            support::writeFileAtomic(shard, os.str());
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "m4ps_batch: %s\n", e.what());
         }
     }
     if (!metrics_out.empty()) {

@@ -72,9 +72,9 @@ applyKernelsFlag(const std::string &choice)
     try {
         kn::select(choice);
     } catch (const std::invalid_argument &e) {
-        M4PS_FATAL(e.what(),
-                   " (expected auto, scalar, sse41, avx2, neon, "
-                   "or list)");
+        throw ArgError(std::string(e.what()) +
+                       " (expected auto, scalar, sse41, avx2, neon, "
+                       "or list)");
     }
     std::printf("kernels: %s backend\n",
                 kn::isaName(kn::activeIsa()));
@@ -314,13 +314,14 @@ runMain(int argc, char **argv)
         try {
             machine = core::machineByName(preset);
         } catch (const std::exception &e) {
-            M4PS_FATAL(e.what());
+            throw ArgError(e.what());
         }
     }
 
     const std::string mode = args.get("mode", "both");
     if (mode != "encode" && mode != "decode" && mode != "both")
-        M4PS_FATAL("--mode must be encode, decode, or both");
+        throw ArgError("--mode must be encode, decode, or both, got '" +
+                       mode + "'");
 
     std::printf("workload: %dx%d, %d frames, %d VO(s) x %d layer(s), "
                 "%.0f bit/s target, %d thread(s)\n",
@@ -353,17 +354,25 @@ runMain(int argc, char **argv)
         stream = core::ExperimentRunner::encodeUntraced(wl);
     }
     if (mode == "decode" || mode == "both") {
-        // Model the lossy channel.  With --fec the stream is framed
-        // first, the channel damages only the coded wire symbols,
-        // and recover() runs before the decoder sees a byte -
-        // protect, then conceal (docs/FEC.md).  --snr maps to the
-        // equivalent hard BER when the wire form is hard bits.
-        codec::FaultSpec spec;
-        spec.ber = has_snr ? fec::hardBerAtEsN0Db(snr_db) : ber;
-        spec.bursts = bursts;
-        spec.burstBytes = burst_bytes;
-        spec.truncateFraction = truncate;
-        spec.seed = fault_seed;
+        // Model the lossy channel (docs/FEC.md "Channels").  With --fec
+        // the stream is framed first, the channel damages only the
+        // coded wire symbols, and recover() runs before the decoder
+        // sees a byte - protect, then conceal.  --snr reaches a
+        // hard-bit wire as its equivalent BER.
+        fec::ChannelSpec channel;
+        channel.faults.ber = has_snr ? fec::hardBerAtEsN0Db(snr_db) : ber;
+        channel.faults.bursts = bursts;
+        channel.faults.burstBytes = burst_bytes;
+        channel.faults.truncateFraction = truncate;
+        channel.faults.seed = fault_seed;
+        if (has_snr)
+            channel.esN0Db = snr_db;
+        char faults[128];
+        std::snprintf(faults, sizeof(faults),
+                      "BER %.2g, %d burst(s) x %d bytes, keep %.2f, "
+                      "seed %llu",
+                      channel.faults.ber, bursts, burst_bytes, truncate,
+                      static_cast<unsigned long long>(fault_seed));
         core::ReportFec run_fec;
         if (fec_on) {
             fec::FecConfig cfg;
@@ -383,36 +392,20 @@ runMain(int argc, char **argv)
                                    static_cast<double>(clear_bytes) -
                                1.0)
                     : 0.0);
-            if (fec_mode == "soft") {
-                if (has_snr) {
-                    framed = fec::channelSoft(std::move(framed),
-                                              snr_db, fault_seed,
-                                              truncate);
-                    std::printf("channel: AWGN Es/N0 %.1f dB "
-                                "(hard-equivalent BER %.2g), seed "
-                                "%llu\n",
-                                snr_db, fec::hardBerAtEsN0Db(snr_db),
-                                static_cast<unsigned long long>(
-                                    fault_seed));
-                } else if (truncate < 1.0) {
-                    // No noise requested: spec carries only the
-                    // truncation, which channelHard applies to any
-                    // wire form (header + cleartext protected).
-                    framed =
-                        fec::channelHard(std::move(framed), spec);
-                    std::printf("channel: keep %.2f (truncation "
-                                "only)\n", truncate);
-                }
-            } else if (spec.ber > 0 || bursts > 0 || truncate < 1.0) {
-                framed = fec::channelHard(std::move(framed), spec);
-                std::printf("channel: BER %.2g, %d burst(s) x %d "
-                            "bytes, keep %.2f, seed %llu (wire "
-                            "symbols only)\n",
-                            spec.ber, bursts, burst_bytes, truncate,
-                            static_cast<unsigned long long>(
-                                fault_seed));
-            }
-            fec::RecoverResult rec = fec::recover(framed);
+            const bool soft = cfg.decision == fec::Decision::Soft;
+            if (soft && has_snr)
+                std::printf("channel: AWGN Es/N0 %.1f dB (hard-equivalent "
+                            "BER %.2g), seed %llu\n",
+                            snr_db, channel.faults.ber,
+                            static_cast<unsigned long long>(fault_seed));
+            else if (soft && truncate < 1.0)
+                std::printf("channel: keep %.2f (truncation only)\n",
+                            truncate);
+            else if (!soft && (channel.faults.ber > 0 || bursts > 0 ||
+                               truncate < 1.0))
+                std::printf("channel: %s (wire symbols only)\n", faults);
+            fec::RecoverResult rec = fec::recover(
+                fec::transmit(std::move(framed), channel, &cfg));
             stream = std::move(rec.stream);
             run_fec.present = true;
             run_fec.blocks = rec.stats.blocks;
@@ -429,18 +422,13 @@ runMain(int argc, char **argv)
                             rec.stats.correctedBits),
                         rec.stats.blocksUncorrectable,
                         rec.stats.framingErrors);
-        } else if (channel_active) {
+        } else {
             // Unprotected: the transport shields only the session
             // headers; every VOP is exposed to loss.
-            spec.protectPrefixBytes =
-                codec::protectableHeaderBytes(stream);
-            stream = codec::injectFaults(std::move(stream), spec);
-            std::printf("channel: BER %.2g, %d burst(s) x %d bytes, "
-                        "keep %.2f, seed %llu, %zu header bytes "
-                        "protected\n",
-                        spec.ber, bursts, burst_bytes, truncate,
-                        static_cast<unsigned long long>(fault_seed),
-                        spec.protectPrefixBytes);
+            if (channel_active)
+                std::printf("channel: %s, %zu header bytes protected\n",
+                            faults, codec::protectableHeaderBytes(stream));
+            stream = fec::transmit(std::move(stream), channel, nullptr);
         }
         try {
             const core::RunResult dec = core::ExperimentRunner::runDecode(

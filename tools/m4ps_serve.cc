@@ -18,11 +18,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <thread>
 
 #include "serve/net.hh"
 #include "serve/server.hh"
 #include "support/args.hh"
+#include "support/fileio.hh"
 #include "support/obs/obs.hh"
 
 namespace
@@ -168,21 +170,19 @@ serveMain(int argc, char **argv)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         const auto now = std::chrono::steady_clock::now();
         // Periodic metrics flush for scrapers that tail the file
-        // while the daemon runs: write a complete temp file, then
-        // atomically rename it over the target, so a reader never
-        // sees a torn dump.
+        // while the daemon runs: atomic, so a reader never sees a
+        // torn dump.  A failed flush leaves the daemon serving.
         if (metricsIntervalMs > 0 &&
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 now - lastFlush)
                     .count() >= metricsIntervalMs) {
             lastFlush = now;
-            const std::string tmp = metrics_out + ".tmp";
-            std::ofstream os(tmp, std::ios::binary);
-            if (os) {
-                obs::writeMetricsText(os);
-                os.flush();
-                os.close();
-                std::rename(tmp.c_str(), metrics_out.c_str());
+            std::ostringstream os;
+            obs::writeMetricsText(os);
+            try {
+                support::writeFileAtomic(metrics_out, os.str());
+            } catch (const std::exception &e) {
+                std::fprintf(stderr, "m4ps_serve: %s\n", e.what());
             }
         }
         if (runForMs > 0 &&
