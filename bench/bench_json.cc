@@ -2,9 +2,8 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 
-#include "core/machine.hh"
+#include "core/fallacies.hh"
 #include "support/logging.hh"
 
 #ifndef M4PS_REPO_ROOT
@@ -27,6 +26,12 @@ benchJsonPath(int argc, char **argv, const std::string &defaultName)
         if (arg.rfind(flag + "=", 0) == 0)
             return arg.substr(flag.size() + 1);
     }
+    return benchJsonPath(defaultName);
+}
+
+std::string
+benchJsonPath(const std::string &defaultName)
+{
     if (const char *dir = std::getenv("M4PS_BENCH_JSON_DIR"))
         return std::string(dir) + "/" + defaultName;
     return std::string(M4PS_REPO_ROOT) + "/" + defaultName;
@@ -79,17 +84,16 @@ writeBenchEntries(const std::string &path,
 }
 
 std::vector<BenchEntry>
-gridBenchEntries(const std::string &prefix, const GridResult &grid)
+gridBenchEntries(const std::string &prefix,
+                 const std::vector<const GridCell *> &cells)
 {
-    const auto machines = core::paperMachines();
     std::vector<BenchEntry> entries;
-    for (size_t i = 0; i < grid.runs.size(); ++i) {
-        const core::RunResult &r = grid.runs[i];
-        const core::MachineConfig &m = machines[i % machines.size()];
+    for (const GridCell *c : cells) {
+        const core::RunResult &r = c->run;
         const core::MemoryReport &rep = r.whole;
 
         BenchEntry e;
-        e.bench = prefix + "/" + grid.labels[i];
+        e.bench = prefix + "/" + c->label();
         e.config.add("workload", JsonValue::of(r.workload));
         e.config.add("machine", JsonValue::of(r.machine));
         e.config.add("frames",
@@ -119,7 +123,7 @@ gridBenchEntries(const std::string &prefix, const GridResult &grid)
 
         // Verdicts as 0/1 so a flipped refutation hard-fails the
         // comparison.
-        const core::FallacyVerdicts v = core::judge(rep, m);
+        const core::FallacyVerdicts v = core::judge(rep, c->machine);
         e.metrics.add("verdict_cache_friendly",
                       JsonValue::of(int64_t(v.cacheFriendly)));
         e.metrics.add("verdict_not_latency_bound",
@@ -137,17 +141,6 @@ gridBenchEntries(const std::string &prefix, const GridResult &grid)
         entries.push_back(std::move(e));
     }
     return entries;
-}
-
-void
-emitGridBenchJson(int argc, char **argv, const std::string &prefix,
-                  const std::string &defaultName,
-                  const GridResult &grid)
-{
-    const std::string path = benchJsonPath(argc, argv, defaultName);
-    writeBenchEntries(path, gridBenchEntries(prefix, grid));
-    std::cout << "wrote " << path << " (" << grid.runs.size() << " "
-              << prefix << " entries)\n";
 }
 
 } // namespace m4ps::bench

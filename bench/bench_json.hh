@@ -12,10 +12,10 @@
  *                 "metrics": {...numbers only...},
  *                 "backend": "memsim"}, ...]}
  *
- * Writing is read-modify-write keyed on the bench name, so the six
- * table binaries can share BENCH_paper_tables.json and re-running one
- * bench only replaces its own entries.  The file location resolves,
- * in order: an explicit `--json-out <path>` argument, the
+ * Writing is read-modify-write keyed on the bench name, so the views
+ * of bench_paper and repeated runs of one bench only replace their
+ * own entries.  The file location resolves, in order: an explicit
+ * `--json-out <path>` argument (for the binaries that take one), the
  * M4PS_BENCH_JSON_DIR environment directory, the repository root the
  * binary was configured from (so benches run from anywhere land their
  * artifacts in one predictable place), and finally the CWD.
@@ -55,6 +55,9 @@ struct BenchEntry
 std::string benchJsonPath(int argc, char **argv,
                           const std::string &defaultName);
 
+/** Where @p defaultName lands without a `--json-out` argument. */
+std::string benchJsonPath(const std::string &defaultName);
+
 /**
  * Merge @p entries into the document at @p path: existing entries
  * with the same bench name are replaced in place, others are kept,
@@ -63,18 +66,10 @@ std::string benchJsonPath(int argc, char **argv,
 void writeBenchEntries(const std::string &path,
                        const std::vector<BenchEntry> &entries);
 
-/** Grid columns as entries named "<prefix>/<column label>". */
-std::vector<BenchEntry> gridBenchEntries(const std::string &prefix,
-                                         const GridResult &grid);
-
-/**
- * One-call JSON emission for a table bench: resolve the path, convert
- * the grid, merge, and log the destination.
- */
-void emitGridBenchJson(int argc, char **argv,
-                       const std::string &prefix,
-                       const std::string &defaultName,
-                       const GridResult &grid);
+/** Grid cells as entries named "<prefix>/<cell label>". */
+std::vector<BenchEntry>
+gridBenchEntries(const std::string &prefix,
+                 const std::vector<const GridCell *> &cells);
 
 } // namespace m4ps::bench
 

@@ -1,9 +1,5 @@
 #include "bench/bench_util.hh"
 
-#include <iostream>
-
-#include "core/machine.hh"
-#include "core/report.hh"
 #include "core/workload.hh"
 #include "support/logging.hh"
 
@@ -18,54 +14,47 @@ benchWorkload(int w, int h, int num_vos, int layers)
     return wl;
 }
 
-GridResult
-runTableGrid(const TableSpec &spec)
+std::string
+GridCell::label() const
 {
-    GridResult grid;
-    std::vector<core::MemoryReport> columns;
-
-    for (const auto &[w, h] : spec.sizes) {
-        const core::Workload wl =
-            benchWorkload(w, h, spec.numVos, spec.layers);
-        // One untraced encode feeds all three decode columns.
-        std::vector<uint8_t> stream;
-        if (spec.direction == Direction::Decode)
-            stream = core::ExperimentRunner::encodeUntraced(wl);
-
-        for (const core::MachineConfig &m : core::paperMachines()) {
-            inform("running ", wl.name, " on ", m.label(), " (",
-                   spec.direction == Direction::Encode ? "encode"
-                                                       : "decode",
-                   ", ", wl.frames, " frames)");
-            core::RunResult r =
-                spec.direction == Direction::Encode
-                    ? core::ExperimentRunner::runEncode(wl, m)
-                    : core::ExperimentRunner::runDecode(wl, m,
-                                                        stream);
-            grid.labels.push_back(wl.sizeLabel() + " " + m.label());
-            columns.push_back(r.whole);
-            grid.runs.push_back(std::move(r));
-        }
-    }
-
-    std::cout << "\n";
-    core::printMetricTable(spec.title, grid.labels, columns);
-    return grid;
+    return workload.sizeLabel() + " " + machine.label();
 }
 
-void
-printVerdicts(const GridResult &grid)
+PaperGrid::PaperGrid(int frames) : frames_(frames) {}
+
+const GridCell &
+PaperGrid::cell(const WorkloadShape &shape,
+                const core::MachineConfig &machine, Direction dir)
 {
-    const auto machines = core::paperMachines();
-    std::cout << "\nFallacy checks (every row should refute the "
-                 "conventional wisdom):\n";
-    for (size_t i = 0; i < grid.runs.size(); ++i) {
-        const core::MachineConfig &m = machines[i % machines.size()];
-        const core::FallacyVerdicts v =
-            core::judge(grid.runs[i].whole, m);
-        std::cout << "  " << grid.labels[i] << ": " << v.str() << "\n";
-    }
-    std::cout << std::flush;
+    core::Workload wl = core::paperWorkload(shape.width, shape.height,
+                                            shape.numVos, shape.layers);
+    wl.frames = frames_;
+    const char *verb = dir == Direction::Encode ? "encode" : "decode";
+    const std::string key = wl.name + " " + machine.label() + " " + verb;
+    if (const auto it = cells_.find(key); it != cells_.end())
+        return it->second;
+
+    inform("running ", wl.name, " on ", machine.label(), " (", verb,
+           ", ", wl.frames, " frames)");
+    core::RunResult r =
+        dir == Direction::Encode
+            ? core::ExperimentRunner::runEncode(wl, machine)
+            : core::ExperimentRunner::runDecode(wl, machine, stream(wl));
+    return cells_
+        .emplace(key, GridCell{std::move(wl), machine, std::move(r)})
+        .first->second;
+}
+
+const std::vector<uint8_t> &
+PaperGrid::stream(const core::Workload &wl)
+{
+    auto it = streams_.find(wl.name);
+    if (it == streams_.end())
+        it = streams_
+                 .emplace(wl.name,
+                          core::ExperimentRunner::encodeUntraced(wl))
+                 .first;
+    return it->second;
 }
 
 } // namespace m4ps::bench

@@ -5,7 +5,8 @@
  * evaluate the five conventional-wisdom fallacies.
  *
  * This is a miniature of the full harness in bench/ - see
- * bench_table2..7 for the complete reproduction grids.
+ * bench_paper, which renders every table and figure of the paper
+ * from one memoized experiment grid.
  */
 
 #include <cstdio>

@@ -39,6 +39,25 @@ getLe32(const uint8_t *p)
            (static_cast<uint32_t>(p[3]) << 24);
 }
 
+/**
+ * Classify the prefix of a frame with 4-byte @p magic and a
+ * @p header-byte fixed header.  The magic bytes present are checked
+ * before asking for more: four bad magic bytes must classify as Bad
+ * immediately, not after a slow-loris dribbles a whole header.  An
+ * empty buffer (whose data pointer may be null) is NeedMore.  Ok
+ * means the whole header is present.
+ */
+ParseResult
+checkPrefix(const uint8_t *data, size_t n, const uint8_t (&magic)[4],
+            size_t header)
+{
+    if (n == 0)
+        return ParseResult::NeedMore;
+    if (std::memcmp(data, magic, n < 4 ? n : size_t{4}) != 0)
+        return ParseResult::Bad;
+    return n < header ? ParseResult::NeedMore : ParseResult::Ok;
+}
+
 } // namespace
 
 const char *
@@ -84,14 +103,10 @@ ParseResult
 parseRequest(const uint8_t *data, size_t n, Request *out,
              size_t *consumed)
 {
-    // Validate the prefix we have before asking for more: four bad
-    // magic bytes must classify as Bad immediately, not after a
-    // slow-loris dribbles a whole header.
-    const size_t magicAvail = n < 4 ? n : size_t{4};
-    if (std::memcmp(data, kRequestMagic, magicAvail) != 0)
-        return ParseResult::Bad;
-    if (n < kRequestHeaderSize)
-        return ParseResult::NeedMore;
+    if (const ParseResult r =
+            checkPrefix(data, n, kRequestMagic, kRequestHeaderSize);
+        r != ParseResult::Ok)
+        return r;
     const uint16_t version = getLe16(data + 4);
     if (version != kProtocolVersion)
         return ParseResult::Bad;
@@ -124,11 +139,10 @@ encodeMessageHeader(const MessageHeader &h, uint8_t *out)
 ParseResult
 parseMessageHeader(const uint8_t *data, size_t n, MessageHeader *out)
 {
-    const size_t magicAvail = n < 4 ? n : size_t{4};
-    if (std::memcmp(data, kMessageMagic, magicAvail) != 0)
-        return ParseResult::Bad;
-    if (n < kMessageHeaderSize)
-        return ParseResult::NeedMore;
+    if (const ParseResult r =
+            checkPrefix(data, n, kMessageMagic, kMessageHeaderSize);
+        r != ParseResult::Ok)
+        return r;
     if (data[4] > static_cast<uint8_t>(MsgType::Stats))
         return ParseResult::Bad;
     if (data[5] > static_cast<uint8_t>(Status::Canceled))
@@ -158,11 +172,10 @@ encodeStatsRequest()
 ParseResult
 parseStatsRequest(const uint8_t *data, size_t n, size_t *consumed)
 {
-    const size_t magicAvail = n < 4 ? n : size_t{4};
-    if (std::memcmp(data, kStatsMagic, magicAvail) != 0)
-        return ParseResult::Bad;
-    if (n < kRequestHeaderSize)
-        return ParseResult::NeedMore;
+    if (const ParseResult r =
+            checkPrefix(data, n, kStatsMagic, kRequestHeaderSize);
+        r != ParseResult::Ok)
+        return r;
     if (getLe16(data + 4) != kProtocolVersion)
         return ParseResult::Bad;
     if (getLe32(data + 8) != 0)

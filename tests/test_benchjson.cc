@@ -8,6 +8,10 @@
  * (counter/ratio/verdict) metric makes hardRegression() true - the
  * exit-1 path of bench_compare - while timing drift only warns and
  * *extra* benches/metrics never fail the comparison.
+ *
+ * Also the memoized experiment grid behind bench_paper
+ * (bench/bench_util.hh): a cell runs once, and its counters are those
+ * of a direct traced run of the same workload on the same machine.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +22,11 @@
 #include <vector>
 
 #include "bench/bench_json.hh"
+#include "bench/bench_util.hh"
 #include "core/benchdiff.hh"
+#include "core/fallacies.hh"
+#include "core/machine.hh"
+#include "core/runner.hh"
 #include "support/json.hh"
 
 namespace m4ps
@@ -262,6 +270,112 @@ TEST(BenchDiff, RejectsDocumentsWithoutBenchesArray)
                  support::JsonError);
     EXPECT_THROW(core::diffBenchDocs(good, bad),
                  support::JsonError);
+}
+
+// --- the memoized paper grid ------------------------------------------
+
+/** Tiny paper workload: the grid's logic, not the codec, is on test. */
+const bench::WorkloadShape kTiny{64, 64, 1, 1};
+constexpr int kTinyFrames = 2;
+
+size_t
+runLines(const std::string &out)
+{
+    size_t n = 0;
+    for (size_t at = out.find("info: running "); at != std::string::npos;
+         at = out.find("info: running ", at + 1))
+        ++n;
+    return n;
+}
+
+TEST(PaperGrid, RepeatRequestReturnsTheStoredCellWithoutRerunning)
+{
+    bench::PaperGrid grid(kTinyFrames);
+    const core::MachineConfig m = core::o2R12k1MB();
+
+    ::testing::internal::CaptureStdout();
+    const bench::GridCell &first =
+        grid.cell(kTiny, m, bench::Direction::Decode);
+    const std::string firstOut =
+        ::testing::internal::GetCapturedStdout();
+    ::testing::internal::CaptureStdout();
+    const bench::GridCell &again =
+        grid.cell(kTiny, m, bench::Direction::Decode);
+    const std::string againOut =
+        ::testing::internal::GetCapturedStdout();
+
+    EXPECT_EQ(&first, &again);
+    EXPECT_EQ(runLines(firstOut), 1u) << firstOut;
+    EXPECT_NE(firstOut.find("info: running 1VO-1VOL-64x64 on R12K/1MB "
+                            "(decode, 2 frames)"),
+              std::string::npos)
+        << firstOut;
+    EXPECT_EQ(againOut, "");
+
+    // The other direction and another machine are cells of their own.
+    ::testing::internal::CaptureStdout();
+    const bench::GridCell &enc =
+        grid.cell(kTiny, m, bench::Direction::Encode);
+    const bench::GridCell &other =
+        grid.cell(kTiny, core::onyxR10k2MB(), bench::Direction::Decode);
+    EXPECT_EQ(runLines(::testing::internal::GetCapturedStdout()), 2u);
+    EXPECT_NE(&enc, &first);
+    EXPECT_NE(&other, &first);
+}
+
+TEST(PaperGrid, CellsEqualDirectRunsOnTheirOwnMachine)
+{
+    bench::PaperGrid grid(kTinyFrames);
+    for (const core::MachineConfig &m : core::paperMachines()) {
+        ::testing::internal::CaptureStdout();
+        const bench::GridCell &enc =
+            grid.cell(kTiny, m, bench::Direction::Encode);
+        const bench::GridCell &dec =
+            grid.cell(kTiny, m, bench::Direction::Decode);
+        ::testing::internal::GetCapturedStdout();
+
+        EXPECT_EQ(enc.workload.frames, kTinyFrames);
+        EXPECT_EQ(enc.workload.sizeLabel(), "64x64");
+        EXPECT_EQ(enc.machine.label(), m.label());
+        EXPECT_EQ(dec.machine.label(), m.label());
+        EXPECT_EQ(enc.label(), "64x64 " + m.label());
+
+        // The grid decodes an untraced encode; the direct decode
+        // reads the traced encode's stream.  Both must agree.
+        std::vector<uint8_t> stream;
+        const core::RunResult directEnc =
+            core::ExperimentRunner::runEncode(enc.workload, m, &stream);
+        const core::RunResult directDec =
+            core::ExperimentRunner::runDecode(enc.workload, m, stream);
+        EXPECT_TRUE(enc.run.whole.ctrs == directEnc.whole.ctrs)
+            << m.label();
+        EXPECT_TRUE(dec.run.whole.ctrs == directDec.whole.ctrs)
+            << m.label();
+        EXPECT_TRUE(enc.run.regions.at("VopEncode").ctrs ==
+                    directEnc.regions.at("VopEncode").ctrs);
+        EXPECT_TRUE(dec.run.regions.at("VopDecode").ctrs ==
+                    directDec.regions.at("VopDecode").ctrs);
+        EXPECT_EQ(enc.run.streamBytes, directEnc.streamBytes);
+        EXPECT_EQ(dec.run.streamBytes, directDec.streamBytes);
+
+        // Entries judge each cell on its own machine, whatever its
+        // position in the list.
+        const std::vector<bench::BenchEntry> entries =
+            bench::gridBenchEntries("t", {&dec});
+        ASSERT_EQ(entries.size(), 1u);
+        EXPECT_EQ(entries[0].bench, "t/64x64 " + m.label());
+        const core::FallacyVerdicts v =
+            core::judge(directDec.whole, m);
+        const JsonValue &metrics = entries[0].metrics;
+        EXPECT_EQ(metrics.numberOr("verdict_cache_friendly", -1),
+                  v.cacheFriendly);
+        EXPECT_EQ(metrics.numberOr("verdict_not_latency_bound", -1),
+                  v.notLatencyBound);
+        EXPECT_EQ(metrics.numberOr("verdict_not_bandwidth_bound", -1),
+                  v.notBandwidthBound);
+        EXPECT_EQ(metrics.numberOr("l2_misses", -1),
+                  double(directDec.whole.ctrs.l2Misses));
+    }
 }
 
 } // namespace

@@ -67,6 +67,22 @@ TEST(ServeProtocol, ShortPrefixesAreNeedMoreNeverBad)
             << "at prefix length " << n;
 }
 
+TEST(ServeProtocol, EmptyBufferIsNeedMoreForEveryParser)
+{
+    // An empty buffer's data() may be null (the client parses an
+    // empty vector before the first read lands); it is a prefix like
+    // any other, and no parser may hand the null pointer to memcmp.
+    Request req;
+    MessageHeader hdr;
+    size_t consumed = 0;
+    EXPECT_EQ(parseRequest(nullptr, 0, &req, &consumed),
+              ParseResult::NeedMore);
+    EXPECT_EQ(parseMessageHeader(nullptr, 0, &hdr),
+              ParseResult::NeedMore);
+    EXPECT_EQ(parseStatsRequest(nullptr, 0, &consumed),
+              ParseResult::NeedMore);
+}
+
 TEST(ServeProtocol, MalformedRequestsAreBad)
 {
     Request out;
