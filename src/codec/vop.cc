@@ -11,7 +11,6 @@
 #include "codec/zigzag.hh"
 #include "support/logging.hh"
 #include "support/obs/obs.hh"
-#include "support/threadpool.hh"
 
 namespace m4ps::codec
 {
@@ -33,14 +32,6 @@ constexpr double kDecodeCyclesPerBit = 4.0;
 
 /** Intra/inter decision bias (MoMuSys-style). */
 constexpr int kIntraBias = 512;
-
-/** Round-half-away-from-zero average of four vector components. */
-int
-avg4(int sum)
-{
-    const int mag = (std::abs(sum) + 2) >> 2;
-    return sum < 0 ? -mag : mag;
-}
 
 int
 vopTypeBits(VopType t)
@@ -65,32 +56,99 @@ vopTypeFromBits(uint32_t v)
 }
 
 /**
- * Scoped thread-local shard binding: while alive, every memsim
- * access made on this thread is recorded instead of simulated, to be
- * replayed in row order by MemoryHierarchy::merge().  A null shard
- * is a no-op (sequential runs simulate directly).
+ * Mean of an INTER4V macroblock's four vectors, each component
+ * rounded half away from zero: the vector its chroma is predicted
+ * along and its right-hand neighbour's motion vector predictor.
  */
-class ShardBinding
+MotionVector
+meanVector(const MotionVector (&mv4)[4])
 {
-  public:
-    explicit ShardBinding(memsim::TraceShard *shard) : shard_(shard)
-    {
-        if (shard_)
-            memsim::MemoryHierarchy::bindShard(shard_);
+    const auto avg4 = [](int sum) {
+        const int mag = (std::abs(sum) + 2) >> 2;
+        return sum < 0 ? -mag : mag;
+    };
+    return {avg4(mv4[0].x + mv4[1].x + mv4[2].x + mv4[3].x),
+            avg4(mv4[0].y + mv4[1].y + mv4[2].y + mv4[3].y)};
+}
+
+// Macroblock predictions are 384 bytes: 16x16 Y, then 8x8 U and V.
+// Each helper traces its accesses against the SimBuffer that gives
+// the prediction its simulated address.
+
+/** Chroma half of a macroblock prediction: U and V along @p mv. */
+void
+predictChromaMb(const video::Yuv420Image &ref, int px, int py,
+                MotionVector mv, uint8_t *dst,
+                memsim::SimBuffer<uint8_t> &buf)
+{
+    predictChroma8(ref.u(), px / 2, py / 2, mv, dst + 256);
+    predictChroma8(ref.v(), px / 2, py / 2, mv, dst + 320);
+    buf.traceStoreRow(256, 128);
+}
+
+/**
+ * Motion-compensated prediction of the macroblock at pixel
+ * (@p px, @p py) along @p mv.  Luma is served from @p interp's
+ * half-pel planes when there are any.
+ */
+void
+predictMb(const video::Yuv420Image &ref, const HalfPelPlanes *interp,
+          int px, int py, MotionVector mv, uint8_t *dst,
+          memsim::SimBuffer<uint8_t> &buf)
+{
+    if (interp && !interp->empty())
+        predictLuma16FromInterp(ref.y(), *interp, px, py, mv, dst);
+    else
+        predictLuma16(ref.y(), px, py, mv, dst);
+    buf.traceStoreRow(0, 256);
+    predictChromaMb(ref, px, py, mv, dst, buf);
+}
+
+/** INTER4V prediction: one vector per 8x8 luma block. */
+void
+predictMb4v(const video::Yuv420Image &ref, int px, int py,
+            const MotionVector (&mv4)[4], uint8_t *dst,
+            memsim::SimBuffer<uint8_t> &buf)
+{
+    uint8_t tmp[64];
+    for (int b = 0; b < 4; ++b) {
+        predictLuma8(ref.y(), px + (b & 1) * 8, py + (b >> 1) * 8,
+                     mv4[b], tmp);
+        uint8_t *blk = dst + (b >> 1) * 8 * kMb + (b & 1) * 8;
+        for (int row = 0; row < 8; ++row)
+            std::copy(tmp + row * 8, tmp + row * 8 + 8, blk + row * kMb);
     }
+    buf.traceStoreRow(0, 256);
+    predictChromaMb(ref, px, py, meanVector(mv4), dst, buf);
+}
 
-    ~ShardBinding()
-    {
-        if (shard_)
-            memsim::MemoryHierarchy::bindShard(nullptr);
+/**
+ * Interpolated prediction (B mode 2): the rounded mean of the
+ * forward (slot 0) and backward (slot 1) predictions into slot 2.
+ */
+void
+averageMb(uint8_t (&pred)[3][384], memsim::SimBuffer<uint8_t> (&buf)[3])
+{
+    buf[0].traceLoadRow(0, 384);
+    buf[1].traceLoadRow(0, 384);
+    averagePrediction(pred[0], pred[1], 384, pred[2]);
+    buf[2].traceStoreRow(0, 384);
+}
+
+/** Fill a transparent macroblock's Y, U and V samples with grey. */
+void
+fillTransparentMb(video::Yuv420Image &img, int px, int py)
+{
+    for (int p = 0; p < 3; ++p) {
+        video::Plane &pl = img.plane(p);
+        const int sh = p == 0 ? 0 : 1;
+        for (int row = 0; row < kMb >> sh; ++row) {
+            uint8_t *r = pl.rowPtr((py >> sh) + row) + (px >> sh);
+            std::fill(r, r + (kMb >> sh), 128);
+            pl.traceStoreRow(px >> sh, (py >> sh) + row, kMb >> sh);
+        }
     }
-
-    ShardBinding(const ShardBinding &) = delete;
-    ShardBinding &operator=(const ShardBinding &) = delete;
-
-  private:
-    memsim::TraceShard *shard_;
-};
+}
 
 } // namespace
 
@@ -256,7 +314,7 @@ RowPredictors::setDc(int plane, int bx, int by, int level)
 VopCodecBase::VopCodecBase(memsim::SimContext &ctx, const VolConfig &cfg)
     : cfg_(cfg), mem_(ctx.mem()),
       blockScratch_(ctx, kBlockSize * kNumRegions),
-      predFwd_(ctx, 384), predBwd_(ctx, 384), predBi_(ctx, 384)
+      predBuf_{{ctx, 384}, {ctx, 384}, {ctx, 384}}
 {
     cfg_.validate();
 }
@@ -264,14 +322,43 @@ VopCodecBase::VopCodecBase(memsim::SimContext &ctx, const VolConfig &cfg)
 void
 VopCodecBase::traceBlockLoad(ScratchRegion r, int n) const
 {
-    const_cast<memsim::SimBuffer<int16_t> &>(blockScratch_)
-        .traceLoadRow(static_cast<size_t>(r) * kBlockSize, n);
+    blockScratch_.traceLoadRow(static_cast<size_t>(r) * kBlockSize, n);
 }
 
 void
 VopCodecBase::traceBlockStore(ScratchRegion r, int n)
 {
     blockScratch_.traceStoreRow(static_cast<size_t>(r) * kBlockSize, n);
+}
+
+VopCodecBase::BlockGeometry
+VopCodecBase::blockGeometry(int b, int mx, int my)
+{
+    if (b < 4) {
+        const int bx = b & 1;
+        const int by = b >> 1;
+        return {0, mx * kMb + bx * 8, my * kMb + by * 8, 2 * mx + bx,
+                2 * my + by, by * 8 * kMb + bx * 8, kMb};
+    }
+    return {b - 3, mx * 8, my * 8, mx, my, 256 + (b - 4) * 64, 8};
+}
+
+void
+VopCodecBase::addResidual(const Block &idct, const BlockGeometry &g,
+                          const uint8_t *pred, bool intra,
+                          video::Plane &out)
+{
+    for (int row = 0; row < kBlockEdge; ++row) {
+        uint8_t *r = out.rowPtr(g.y0 + row) + g.x0;
+        const uint8_t *p = intra ? nullptr
+                                 : pred + g.predOffset + row * g.predStride;
+        for (int i = 0; i < kBlockEdge; ++i) {
+            const int base = intra ? 128 : p[i];
+            r[i] = static_cast<uint8_t>(
+                std::clamp(base + idct[row * kBlockEdge + i], 0, 255));
+        }
+        out.traceStoreRow(g.x0, g.y0 + row, kBlockEdge);
+    }
 }
 
 void
@@ -304,23 +391,21 @@ VopEncoder::VopEncoder(memsim::SimContext &ctx, const VolConfig &cfg)
 }
 
 VopEncoder::BlockCode
-VopEncoder::analyzeBlock(RowPredictors &rp, const video::Plane &cur,
-                         int x0, int y0, const uint8_t *pred,
-                         int pred_stride, bool intra, bool luma, int qp,
-                         int plane_idx, int bx, int by)
+VopEncoder::analyzeBlock(RowPredictors &rp, const video::Yuv420Image &cur,
+                         const BlockGeometry &g, const uint8_t *pred,
+                         bool intra, int qp)
 {
     BlockCode code;
     Block src;
+    const video::Plane &pl = cur.plane(g.plane);
     // Fetch input samples (traced) and form residual / shifted intra.
     for (int row = 0; row < kBlockEdge; ++row) {
-        cur.traceLoadRow(x0, y0 + row, kBlockEdge);
-        const uint8_t *c = cur.rowPtr(y0 + row) + x0;
+        pl.traceLoadRow(g.x0, g.y0 + row, kBlockEdge);
+        const uint8_t *c = pl.rowPtr(g.y0 + row) + g.x0;
+        const uint8_t *p = intra ? nullptr
+                                 : pred + g.predOffset + row * g.predStride;
         for (int i = 0; i < kBlockEdge; ++i) {
-            int v;
-            if (intra)
-                v = c[i] - 128;
-            else
-                v = c[i] - pred[row * pred_stride + i];
+            const int v = c[i] - (intra ? 128 : p[i]);
             src[row * kBlockEdge + i] = static_cast<int16_t>(v);
         }
     }
@@ -332,7 +417,7 @@ VopEncoder::analyzeBlock(RowPredictors &rp, const video::Plane &cur,
     traceBlockStore(kCoef);
     tick(kDctCycles);
 
-    QuantParams qparams{qp, intra, cfg_.mpegQuant, luma};
+    QuantParams qparams{qp, intra, cfg_.mpegQuant, g.plane == 0};
     Block levels;
     traceBlockLoad(kCoef);
     quantize(coef, levels, qparams);
@@ -347,9 +432,9 @@ VopEncoder::analyzeBlock(RowPredictors &rp, const video::Plane &cur,
     tick(kPassCycles);
 
     if (intra) {
-        const int pred_dc = rp.predictDc(plane_idx, bx, by);
+        const int pred_dc = rp.predictDc(g.plane, g.dcX, g.dcY);
         code.dcDelta = levels[0] - pred_dc;
-        rp.setDc(plane_idx, bx, by, levels[0]);
+        rp.setDc(g.plane, g.dcX, g.dcY, levels[0]);
         code.events = runLengthEncode(scanned, 1);
     } else {
         code.events = runLengthEncode(scanned, 0);
@@ -360,13 +445,11 @@ VopEncoder::analyzeBlock(RowPredictors &rp, const video::Plane &cur,
 }
 
 void
-VopEncoder::reconBlock(const BlockCode &code, const uint8_t *pred,
-                       int pred_stride, bool intra, bool luma, int qp,
-                       video::Plane *recon, int x0, int y0)
+VopEncoder::reconBlock(const BlockCode &code, const BlockGeometry &g,
+                       const uint8_t *pred, bool intra, int qp,
+                       video::Yuv420Image &recon)
 {
-    if (!recon)
-        return;
-    QuantParams qparams{qp, intra, cfg_.mpegQuant, luma};
+    QuantParams qparams{qp, intra, cfg_.mpegQuant, g.plane == 0};
     Block dequant;
     Block idct;
     const bool any = code.coded || (intra && code.levels[0] != 0);
@@ -383,16 +466,7 @@ VopEncoder::reconBlock(const BlockCode &code, const uint8_t *pred,
         idct.fill(0);
     }
     traceBlockLoad(kIdct);
-    for (int row = 0; row < kBlockEdge; ++row) {
-        uint8_t *r = recon->rowPtr(y0 + row) + x0;
-        for (int i = 0; i < kBlockEdge; ++i) {
-            const int base =
-                intra ? 128 : pred[row * pred_stride + i];
-            r[i] = static_cast<uint8_t>(
-                std::clamp(base + idct[row * kBlockEdge + i], 0, 255));
-        }
-        recon->traceStoreRow(x0, y0 + row, kBlockEdge);
-    }
+    addResidual(idct, g, pred, intra, recon.plane(g.plane));
 }
 
 void
@@ -449,12 +523,11 @@ VopEncoder::encodeTextureRow(bits::BitWriter &bw, bits::BitWriter *tex,
 
     VopStats stats;
     RowPredictors rp(cfg_.mbWidth(), my);
-    // Row-private prediction pixels.  The shared SimBuffers remain
-    // the canonical simulated addresses for tracing; their stored
-    // bytes are never touched here, so concurrent rows do not race.
-    uint8_t fwdData[384];
-    uint8_t bwdData[384];
-    uint8_t biData[384];
+    // Row-private prediction pixels, indexed like predBuf_.  The
+    // shared SimBuffers remain the canonical simulated addresses for
+    // tracing; their stored bytes are never touched here, so
+    // concurrent rows do not race.
+    uint8_t predData[3][384];
 
     obs::Span rowSpan("codec", "enc.row");
     if (rowSpan.active())
@@ -471,19 +544,8 @@ VopEncoder::encodeTextureRow(bits::BitWriter &bw, bits::BitWriter *tex,
                                           : BabMode::Opaque;
         if (bab == BabMode::Transparent) {
             ++stats.transparentMbs;
-            if (recon) {
-                for (int p = 0; p < 3; ++p) {
-                    video::Plane &pl = recon->plane(p);
-                    const int sh = p == 0 ? 0 : 1;
-                    for (int row = 0; row < kMb >> sh; ++row) {
-                        uint8_t *r = pl.rowPtr((py >> sh) + row)
-                                     + (px >> sh);
-                        std::fill(r, r + (kMb >> sh), 128);
-                        pl.traceStoreRow(px >> sh, (py >> sh) + row,
-                                         kMb >> sh);
-                    }
-                }
-            }
+            if (recon)
+                fillTransparentMb(*recon, px, py);
             continue;
         }
 
@@ -548,124 +610,55 @@ VopEncoder::encodeTextureRow(bits::BitWriter &bw, bits::BitWriter *tex,
         const uint8_t *pred = nullptr; // 384-byte Y+U+V layout
         if (!intra && hdr.type != VopType::I) {
             obs::StageScope reconScope(st, obs::Stage::Recon);
-            auto build = [&](const video::Yuv420Image &ref,
-                             MotionVector mv, uint8_t *dst,
-                             memsim::SimBuffer<uint8_t> &trace) {
-                predictLuma16(ref.y(), px, py, mv, dst);
-                trace.traceStoreRow(0, 256);
-                predictChroma8(ref.u(), px / 2, py / 2, mv,
-                               dst + 256);
-                predictChroma8(ref.v(), px / 2, py / 2, mv,
-                               dst + 320);
-                trace.traceStoreRow(256, 128);
-            };
             if (is_b) {
                 if (fwd_ok)
-                    build(*refs.past, fwd.mv, fwdData, predFwd_);
+                    predictMb(*refs.past, refs.pastInterp, px, py,
+                              fwd.mv, predData[0], predBuf_[0]);
                 if (bwd_ok)
-                    build(*refs.future, bwd.mv, bwdData, predBwd_);
+                    predictMb(*refs.future, refs.futureInterp, px, py,
+                              bwd.mv, predData[1], predBuf_[1]);
                 if (fwd_ok && bwd_ok) {
-                    predFwd_.traceLoadRow(0, 384);
-                    predBwd_.traceLoadRow(0, 384);
-                    averagePrediction(fwdData, bwdData, 384, biData);
-                    predBi_.traceStoreRow(0, 384);
+                    averageMb(predData, predBuf_);
                     // Interpolated-mode SAD over luma.
                     int sad_bi = 0;
                     for (int row = 0; row < kMb; ++row) {
                         cur.y().traceLoadRow(px, py + row, kMb);
                         const uint8_t *c =
                             cur.y().rowPtr(py + row) + px;
-                        const uint8_t *pb = biData + row * kMb;
+                        const uint8_t *pb = predData[2] + row * kMb;
                         for (int i = 0; i < kMb; ++i) {
                             sad_bi += std::abs(
                                 static_cast<int>(c[i]) - pb[i]);
                         }
                     }
-                    predBi_.traceLoadRow(0, 256);
+                    predBuf_[2].traceLoadRow(0, 256);
                     const int prev_best =
                         mode == 0 ? fwd.sad : bwd.sad;
                     if (sad_bi < prev_best)
                         mode = 2;
                 }
-                pred = mode == 0 ? fwdData
-                       : mode == 1 ? bwdData : biData;
             } else if (use_4mv) {
-                // Per-block luma prediction; chroma from the
-                // averaged vector.
-                uint8_t tmp[64];
-                for (int b = 0; b < 4; ++b) {
-                    predictLuma8(refs.past->y(), px + (b & 1) * 8,
-                                 py + (b >> 1) * 8, mv4[b], tmp);
-                    uint8_t *dst = fwdData +
-                                   (b >> 1) * 8 * 16 + (b & 1) * 8;
-                    for (int row = 0; row < 8; ++row) {
-                        std::copy(tmp + row * 8, tmp + row * 8 + 8,
-                                  dst + row * 16);
-                    }
-                }
-                predFwd_.traceStoreRow(0, 256);
-                const MotionVector cavg{
-                    avg4(mv4[0].x + mv4[1].x + mv4[2].x + mv4[3].x),
-                    avg4(mv4[0].y + mv4[1].y + mv4[2].y +
-                         mv4[3].y)};
-                predictChroma8(refs.past->u(), px / 2, py / 2,
-                               cavg, fwdData + 256);
-                predictChroma8(refs.past->v(), px / 2, py / 2,
-                               cavg, fwdData + 320);
-                predFwd_.traceStoreRow(256, 128);
-                pred = fwdData;
+                predictMb4v(*refs.past, px, py, mv4, predData[0],
+                            predBuf_[0]);
             } else {
-                build(*refs.past, fwd.mv, fwdData, predFwd_);
-                pred = fwdData;
+                predictMb(*refs.past, refs.pastInterp, px, py, fwd.mv,
+                          predData[0], predBuf_[0]);
             }
+            pred = predData[is_b ? mode : 0];
         }
 
         // ---------------- block analysis ------------------------
         BlockCode blocks[6];
         int cbp = 0;
-        const memsim::SimBuffer<uint8_t> *pred_buf =
-            is_b ? (mode == 0 ? &predFwd_
-                    : mode == 1 ? &predBwd_ : &predBi_)
-                 : &predFwd_;
+        const memsim::SimBuffer<uint8_t> &pred_buf =
+            predBuf_[is_b ? mode : 0];
         {
         obs::StageScope dctScope(st, obs::Stage::DctQuant);
         for (int b = 0; b < 6; ++b) {
-            const bool luma = b < 4;
-            const video::Plane &pl = cur.plane(luma ? 0 : b - 3);
-            const int bx = b & 1;
-            const int by = (b >> 1) & 1;
-            int x0, y0, gx, gy, plane_idx;
-            const uint8_t *p = nullptr;
-            int pstride = 0;
-            if (luma) {
-                x0 = px + bx * 8;
-                y0 = py + by * 8;
-                gx = 2 * mx + bx;
-                gy = 2 * my + by;
-                plane_idx = 0;
-                if (pred) {
-                    p = pred + by * 8 * kMb + bx * 8;
-                    pstride = kMb;
-                    const_cast<memsim::SimBuffer<uint8_t> *>(pred_buf)
-                        ->traceLoadRow(
-                            static_cast<size_t>(by) * 128 + bx * 8, 64);
-                }
-            } else {
-                x0 = px / 2;
-                y0 = py / 2;
-                gx = mx;
-                gy = my;
-                plane_idx = b - 3;
-                if (pred) {
-                    p = pred + 256 + (b - 4) * 64;
-                    pstride = 8;
-                    const_cast<memsim::SimBuffer<uint8_t> *>(pred_buf)
-                        ->traceLoadRow(256 + (b - 4) * 64, 64);
-                }
-            }
-            blocks[b] = analyzeBlock(rp, pl, x0, y0, p, pstride,
-                                     intra, luma, qp, plane_idx, gx,
-                                     gy);
+            const BlockGeometry g = blockGeometry(b, mx, my);
+            if (pred)
+                pred_buf.traceLoadRow(g.predOffset, 64);
+            blocks[b] = analyzeBlock(rp, cur, g, pred, intra, qp);
             if (blocks[b].coded)
                 cbp |= 1 << b;
         }
@@ -718,11 +711,7 @@ VopEncoder::encodeTextureRow(bits::BitWriter &bw, bits::BitWriter *tex,
                         bits::putSe(bw, mv4[b].y - pmv.y);
                     }
                     // Neighbour prediction sees the average.
-                    rp.setMv(0,
-                             {avg4(mv4[0].x + mv4[1].x + mv4[2].x +
-                                   mv4[3].x),
-                              avg4(mv4[0].y + mv4[1].y + mv4[2].y +
-                                   mv4[3].y)});
+                    rp.setMv(0, meanVector(mv4));
                     ++stats.fourMvMbs;
                 } else {
                     bits::putSe(bw, fwd.mv.x - pmv.x);
@@ -757,30 +746,8 @@ VopEncoder::encodeTextureRow(bits::BitWriter &bw, bits::BitWriter *tex,
         if (recon) {
             obs::StageScope reconScope(st, obs::Stage::Recon);
             for (int b = 0; b < 6; ++b) {
-                const bool luma = b < 4;
-                const int bx = b & 1;
-                const int by = (b >> 1) & 1;
-                video::Plane &pl = recon->plane(luma ? 0 : b - 3);
-                int x0, y0;
-                const uint8_t *p = nullptr;
-                int pstride = 0;
-                if (luma) {
-                    x0 = px + bx * 8;
-                    y0 = py + by * 8;
-                    if (pred) {
-                        p = pred + by * 8 * kMb + bx * 8;
-                        pstride = kMb;
-                    }
-                } else {
-                    x0 = px / 2;
-                    y0 = py / 2;
-                    if (pred) {
-                        p = pred + 256 + (b - 4) * 64;
-                        pstride = 8;
-                    }
-                }
-                reconBlock(blocks[b], p, pstride, intra, b < 4, qp,
-                           &pl, x0, y0);
+                reconBlock(blocks[b], blockGeometry(b, mx, my), pred,
+                           intra, qp, *recon);
             }
         }
     }
@@ -833,21 +800,11 @@ VopEncoder::encode(bits::BitWriter &bw, const VopHeader &hdr,
 
     const video::Rect &win = hdr.mbWindow;
     const int rows = win.h;
-    support::ThreadPool &pool = support::ThreadPool::global();
     const bool dp = hdr.packetized && hdr.dataPartitioned;
     std::vector<bits::BitWriter> rowBw(rows);
     std::vector<bits::BitWriter> rowTex(dp ? rows : 0);
     std::vector<VopStats> rowStats(rows);
-    // Shards defer each row's memory trace so a parallel run can
-    // replay it in raster order and land on the exact counters a
-    // sequential run produces.  Sequential runs (and untraced runs)
-    // skip the detour and simulate directly.
-    std::vector<memsim::TraceShard> shards;
-    if (mem_ && pool.threads() > 1 && rows > 1)
-        shards.resize(rows);
-
-    pool.parallelFor(rows, [&](int r) {
-        ShardBinding bind(shards.empty() ? nullptr : &shards[r]);
+    memsim::orderedParallelFor(mem_, rows, [&](int r) {
         rowStats[r] = encodeTextureRow(rowBw[r],
                                        dp ? &rowTex[r] : nullptr, hdr,
                                        win.y + r, cur, modes, refs,
@@ -856,26 +813,17 @@ VopEncoder::encode(bits::BitWriter &bw, const VopHeader &hdr,
 
     if (hdr.packetized) {
         appendPackets(bw, hdr, rowBw, dp ? &rowTex : nullptr);
-        // Trace replay and stats stay raster-ordered regardless of
-        // how the rows were grouped into packets.
-        for (int r = 0; r < rows; ++r) {
-            if (!shards.empty())
-                mem_->merge(shards[r]);
-            stats += rowStats[r];
-        }
     } else {
         // Deterministic merge: the row-length table, then every row's
-        // payload bits and deferred trace, all in raster order.  The
-        // layout does not depend on the thread count.
+        // payload bits, all in raster order.  The layout does not
+        // depend on the thread count.
         for (int r = 0; r < rows; ++r)
             bits::putUe(bw, static_cast<uint32_t>(rowBw[r].bitCount()));
-        for (int r = 0; r < rows; ++r) {
+        for (int r = 0; r < rows; ++r)
             bw.append(rowBw[r]);
-            if (!shards.empty())
-                mem_->merge(shards[r]);
-            stats += rowStats[r];
-        }
     }
+    for (const VopStats &rs : rowStats)
+        stats += rs;
 
     if (recon_alpha && alpha)
         recon_alpha->copyFrom(*alpha);
@@ -1040,11 +988,10 @@ VopDecoder::decodeShapePass(bits::BitReader &br, const VopHeader &hdr,
 
 void
 VopDecoder::decodeBlockInto(RowPredictors &rp, bits::BitReader &br,
-                            bits::BitReader &tex, bool intra, bool luma,
-                            int qp, int plane_idx, int bx, int by,
-                            const uint8_t *pred, int pred_stride,
-                            video::Plane &out, int x0, int y0,
-                            bool coded, obs::StageTimes &st)
+                            bits::BitReader &tex, const BlockGeometry &g,
+                            const uint8_t *pred, bool intra, bool coded,
+                            int qp, video::Yuv420Image &out,
+                            obs::StageTimes &st)
 {
     // Mirrors the encoder's partition split: DC deltas travel with
     // the motion partition (br), coefficient data with the texture
@@ -1057,8 +1004,8 @@ VopDecoder::decodeBlockInto(RowPredictors &rp, bits::BitReader &br,
     obs::StageScope rlcScope(st, obs::Stage::Rlc);
     if (intra) {
         const int dc_delta = bits::getSe(br);
-        dc_level = rp.predictDc(plane_idx, bx, by) + dc_delta;
-        rp.setDc(plane_idx, bx, by, dc_level);
+        dc_level = rp.predictDc(g.plane, g.dcX, g.dcY) + dc_delta;
+        rp.setDc(g.plane, g.dcX, g.dcY, dc_level);
         const bool has_ac = tex.getBit();
         if (has_ac) {
             const auto events = readBlockEvents(tex);
@@ -1088,7 +1035,7 @@ VopDecoder::decodeBlockInto(RowPredictors &rp, bits::BitReader &br,
         tick(kPassCycles);
         if (intra)
             levels[0] = static_cast<int16_t>(dc_level);
-        QuantParams qparams{qp, intra, cfg_.mpegQuant, luma};
+        QuantParams qparams{qp, intra, cfg_.mpegQuant, g.plane == 0};
         Block dequant;
         traceBlockLoad(kLevels);
         dequantize(levels, dequant, qparams);
@@ -1109,15 +1056,7 @@ VopDecoder::decodeBlockInto(RowPredictors &rp, bits::BitReader &br,
     traceBlockLoad(kIdct);
     // Saturation via the reference decoder's clip lookup table.
     clipTable_.traceLoadRow(0, kBlockSize);
-    for (int row = 0; row < kBlockEdge; ++row) {
-        uint8_t *r = out.rowPtr(y0 + row) + x0;
-        for (int i = 0; i < kBlockEdge; ++i) {
-            const int base = intra ? 128 : pred[row * pred_stride + i];
-            r[i] = static_cast<uint8_t>(
-                std::clamp(base + idct[row * kBlockEdge + i], 0, 255));
-        }
-        out.traceStoreRow(x0, y0 + row, kBlockEdge);
-    }
+    addResidual(idct, g, pred, intra, out.plane(g.plane));
 }
 
 VopStats
@@ -1138,9 +1077,7 @@ VopDecoder::decodeTextureRow(bits::BitReader &br, bits::BitReader *tex,
     VopStats stats;
     RowPredictors rp(cfg_.mbWidth(), my);
     // Row-private prediction pixels (see encodeTextureRow).
-    uint8_t fwdData[384];
-    uint8_t bwdData[384];
-    uint8_t biData[384];
+    uint8_t predData[3][384];
 
     obs::Span rowSpan("codec", "dec.row");
     if (rowSpan.active())
@@ -1157,17 +1094,7 @@ VopDecoder::decodeTextureRow(bits::BitReader &br, bits::BitReader *tex,
                                           : BabMode::Opaque;
         if (bab == BabMode::Transparent) {
             ++stats.transparentMbs;
-            for (int p = 0; p < 3; ++p) {
-                video::Plane &pl = out.plane(p);
-                const int sh = p == 0 ? 0 : 1;
-                for (int row = 0; row < kMb >> sh; ++row) {
-                    uint8_t *r = pl.rowPtr((py >> sh) + row)
-                                 + (px >> sh);
-                    std::fill(r, r + (kMb >> sh), 128);
-                    pl.traceStoreRow(px >> sh, (py >> sh) + row,
-                                     kMb >> sh);
-                }
-            }
+            fillTransparentMb(out, px, py);
             continue;
         }
 
@@ -1222,11 +1149,7 @@ VopDecoder::decodeTextureRow(bits::BitReader &br, bits::BitReader *tex,
                             mv4[b].x = pmv.x + bits::getSe(br);
                             mv4[b].y = pmv.y + bits::getSe(br);
                         }
-                        rp.setMv(0,
-                                 {avg4(mv4[0].x + mv4[1].x +
-                                       mv4[2].x + mv4[3].x),
-                                  avg4(mv4[0].y + mv4[1].y +
-                                       mv4[2].y + mv4[3].y)});
+                        rp.setMv(0, meanVector(mv4));
                         ++stats.fourMvMbs;
                     } else {
                         mvf.x = pmv.x + bits::getSe(br);
@@ -1248,14 +1171,10 @@ VopDecoder::decodeTextureRow(bits::BitReader &br, bits::BitReader *tex,
         if (mv_row) {
             MotionVector cand{0, 0};
             if (!intra) {
-                if (use_4mv) {
-                    cand = {avg4(mv4[0].x + mv4[1].x + mv4[2].x +
-                                 mv4[3].x),
-                            avg4(mv4[0].y + mv4[1].y + mv4[2].y +
-                                 mv4[3].y)};
-                } else if (!is_b || mode == 0 || mode == 2) {
+                if (use_4mv)
+                    cand = meanVector(mv4);
+                else if (!is_b || mode == 0 || mode == 2)
                     cand = mvf;
-                }
             }
             mv_row[mx - win.x] = cand;
         }
@@ -1265,136 +1184,59 @@ VopDecoder::decodeTextureRow(bits::BitReader &br, bits::BitReader *tex,
         const uint8_t *pred = nullptr;
         if (!intra) {
             obs::StageScope reconScope(st, obs::Stage::Recon);
-            auto build = [&](const video::Yuv420Image &ref,
-                             const HalfPelPlanes *interp,
-                             MotionVector mv, uint8_t *dst,
-                             memsim::SimBuffer<uint8_t> &trace) {
-                if (interp && !interp->empty()) {
-                    predictLuma16FromInterp(ref.y(), *interp, px,
-                                            py, mv, dst);
-                } else {
-                    predictLuma16(ref.y(), px, py, mv, dst);
-                }
-                trace.traceStoreRow(0, 256);
-                predictChroma8(ref.u(), px / 2, py / 2, mv,
-                               dst + 256);
-                predictChroma8(ref.v(), px / 2, py / 2, mv,
-                               dst + 320);
-                trace.traceStoreRow(256, 128);
-            };
             if (is_b) {
                 // Corrupt mode bits can ask for a reference that is
                 // not there; that is a stream error, not a bug.
                 if (mode == 0 || mode == 2) {
                     if (!fwd_ok)
                         throw StreamError("fwd mode without past ref");
-                    build(*refs.past, refs.pastInterp, mvf, fwdData,
-                          predFwd_);
+                    predictMb(*refs.past, refs.pastInterp, px, py, mvf,
+                              predData[0], predBuf_[0]);
                 }
                 if (mode == 1 || mode == 2) {
                     if (!bwd_ok)
                         throw StreamError("bwd mode without ref");
-                    build(*refs.future, refs.futureInterp, mvb,
-                          bwdData, predBwd_);
+                    predictMb(*refs.future, refs.futureInterp, px, py,
+                              mvb, predData[1], predBuf_[1]);
                 }
-                if (mode == 2) {
-                    predFwd_.traceLoadRow(0, 384);
-                    predBwd_.traceLoadRow(0, 384);
-                    averagePrediction(fwdData, bwdData, 384, biData);
-                    predBi_.traceStoreRow(0, 384);
-                }
-                pred = mode == 0 ? fwdData
-                       : mode == 1 ? bwdData : biData;
+                if (mode == 2)
+                    averageMb(predData, predBuf_);
+            } else if (!fwd_ok) {
+                throw StreamError("P-VOP without past ref");
             } else if (use_4mv) {
-                if (!fwd_ok)
-                    throw StreamError("4MV MB without past ref");
-                uint8_t tmp[64];
-                for (int b = 0; b < 4; ++b) {
-                    predictLuma8(refs.past->y(), px + (b & 1) * 8,
-                                 py + (b >> 1) * 8, mv4[b], tmp);
-                    uint8_t *dst = fwdData +
-                                   (b >> 1) * 8 * 16 + (b & 1) * 8;
-                    for (int row = 0; row < 8; ++row) {
-                        std::copy(tmp + row * 8, tmp + row * 8 + 8,
-                                  dst + row * 16);
-                    }
-                }
-                predFwd_.traceStoreRow(0, 256);
-                const MotionVector cavg{
-                    avg4(mv4[0].x + mv4[1].x + mv4[2].x + mv4[3].x),
-                    avg4(mv4[0].y + mv4[1].y + mv4[2].y +
-                         mv4[3].y)};
-                predictChroma8(refs.past->u(), px / 2, py / 2,
-                               cavg, fwdData + 256);
-                predictChroma8(refs.past->v(), px / 2, py / 2,
-                               cavg, fwdData + 320);
-                predFwd_.traceStoreRow(256, 128);
-                pred = fwdData;
+                predictMb4v(*refs.past, px, py, mv4, predData[0],
+                            predBuf_[0]);
             } else {
-                if (!fwd_ok)
-                    throw StreamError("P-VOP without past ref");
-                build(*refs.past, refs.pastInterp, mvf, fwdData,
-                      predFwd_);
-                pred = fwdData;
+                predictMb(*refs.past, refs.pastInterp, px, py, mvf,
+                          predData[0], predBuf_[0]);
             }
+            pred = predData[is_b ? mode : 0];
         }
 
         // ---------------- block decode --------------------------
-        const memsim::SimBuffer<uint8_t> *pred_buf =
-            is_b ? (mode == 0 ? &predFwd_
-                    : mode == 1 ? &predBwd_ : &predBi_)
-                 : &predFwd_;
+        const memsim::SimBuffer<uint8_t> &pred_buf =
+            predBuf_[is_b ? mode : 0];
         for (int b = 0; b < 6; ++b) {
-            const bool luma = b < 4;
-            const int bx = b & 1;
-            const int by = (b >> 1) & 1;
-            video::Plane &pl = out.plane(luma ? 0 : b - 3);
-            int x0, y0, gx, gy, plane_idx;
-            const uint8_t *p = nullptr;
-            int pstride = 0;
-            if (luma) {
-                x0 = px + bx * 8;
-                y0 = py + by * 8;
-                gx = 2 * mx + bx;
-                gy = 2 * my + by;
-                plane_idx = 0;
-                if (pred) {
-                    p = pred + by * 8 * kMb + bx * 8;
-                    pstride = kMb;
-                    const_cast<memsim::SimBuffer<uint8_t> *>(pred_buf)
-                        ->traceLoadRow(
-                            static_cast<size_t>(by) * 128 + bx * 8, 64);
-                }
-            } else {
-                x0 = px / 2;
-                y0 = py / 2;
-                gx = mx;
-                gy = my;
-                plane_idx = b - 3;
-                if (pred) {
-                    p = pred + 256 + (b - 4) * 64;
-                    pstride = 8;
-                    const_cast<memsim::SimBuffer<uint8_t> *>(pred_buf)
-                        ->traceLoadRow(256 + (b - 4) * 64, 64);
-                }
-            }
+            const BlockGeometry g = blockGeometry(b, mx, my);
+            if (pred)
+                pred_buf.traceLoadRow(g.predOffset, 64);
             const bool coded =
                 !skipped && !intra && ((cbp >> b) & 1);
-            if (coded || intra || !skipped)
-                stats.codedBlocks += coded ? 1 : 0;
+            stats.codedBlocks += coded ? 1 : 0;
             if (skipped) {
                 // Straight copy of the prediction.
                 obs::StageScope reconScope(st, obs::Stage::Recon);
+                video::Plane &pl = out.plane(g.plane);
                 for (int row = 0; row < kBlockEdge; ++row) {
-                    uint8_t *r = pl.rowPtr(y0 + row) + x0;
-                    for (int i = 0; i < kBlockEdge; ++i)
-                        r[i] = p[row * pstride + i];
-                    pl.traceStoreRow(x0, y0 + row, kBlockEdge);
+                    const uint8_t *p =
+                        pred + g.predOffset + row * g.predStride;
+                    std::copy(p, p + kBlockEdge,
+                              pl.rowPtr(g.y0 + row) + g.x0);
+                    pl.traceStoreRow(g.x0, g.y0 + row, kBlockEdge);
                 }
             } else {
-                decodeBlockInto(rp, br, txr, intra, luma, qp,
-                                plane_idx, gx, gy, p, pstride, pl,
-                                x0, y0, coded, st);
+                decodeBlockInto(rp, br, txr, g, pred, intra, coded, qp,
+                                out, st);
             }
         }
         marshalMacroblock();
@@ -1452,11 +1294,7 @@ VopDecoder::decode(bits::BitReader &br, const VopHeader &hdr,
         throw StreamError("B-VOP without references");
 
     const int rows = win.h;
-    support::ThreadPool &pool = support::ThreadPool::global();
     std::vector<VopStats> rowStats(rows);
-    std::vector<memsim::TraceShard> shards;
-    if (mem_ && pool.threads() > 1 && rows > 1)
-        shards.resize(rows);
 
     if (hdr.packetized) {
         // Resilient VOP: rows arrive in video packets.  Packets that
@@ -1470,10 +1308,9 @@ VopDecoder::decode(bits::BitReader &br, const VopHeader &hdr,
             static_cast<size_t>(rows) * win.w);
         std::vector<uint8_t> rowGood(rows, 0);
 
-        pool.parallelFor(rows, [&](int r) {
+        memsim::orderedParallelFor(mem_, rows, [&](int r) {
             if (!spans[r].covered)
                 return;
-            ShardBinding bind(shards.empty() ? nullptr : &shards[r]);
             bits::BitReader rbr = br;
             rbr.seekBits(spans[r].start);
             bits::BitReader texr = br;
@@ -1499,12 +1336,6 @@ VopDecoder::decode(bits::BitReader &br, const VopHeader &hdr,
             }
         });
 
-        for (int r = 0; r < rows; ++r) {
-            if (!shards.empty())
-                mem_->merge(shards[r]);
-            stats += rowStats[r];
-        }
-
         // Sequential concealment pass over everything that was lost.
         for (int r = 0; r < rows; ++r) {
             if (!rowGood[r])
@@ -1529,8 +1360,7 @@ VopDecoder::decode(bits::BitReader &br, const VopHeader &hdr,
             off += rowBits[r];
         }
 
-        pool.parallelFor(rows, [&](int r) {
-            ShardBinding bind(shards.empty() ? nullptr : &shards[r]);
+        memsim::orderedParallelFor(mem_, rows, [&](int r) {
             bits::BitReader rbr = br;
             rbr.seekBits(rowStart[r]);
             try {
@@ -1554,12 +1384,9 @@ VopDecoder::decode(bits::BitReader &br, const VopHeader &hdr,
         });
 
         br.seekBits(base + total);
-        for (int r = 0; r < rows; ++r) {
-            if (!shards.empty())
-                mem_->merge(shards[r]);
-            stats += rowStats[r];
-        }
     }
+    for (const VopStats &rs : rowStats)
+        stats += rs;
 
     stats.bits = br.bitPos() - start_bits;
     tick(static_cast<double>(stats.bits) * kDecodeCyclesPerBit);
@@ -1716,12 +1543,10 @@ VopDecoder::concealRow(int r, const VopHeader &hdr,
         }
         const int px = mx * kMb;
         const int py = my * kMb;
-        predictLuma16(src->y(), px, py, mv, buf);
-        predFwd_.traceStoreRow(0, 256);
-        predictChroma8(src->u(), px / 2, py / 2, mv, buf + 256);
-        predictChroma8(src->v(), px / 2, py / 2, mv, buf + 320);
-        predFwd_.traceStoreRow(256, 128);
-        predFwd_.traceLoadRow(0, 384);
+        // Concealment copies from the reference frame itself, never
+        // from its half-pel planes.
+        predictMb(*src, nullptr, px, py, mv, buf, predBuf_[0]);
+        predBuf_[0].traceLoadRow(0, 384);
         const kernels::KernelOps &k = kernels::active();
         for (int row = 0; row < kMb; ++row) {
             uint8_t *dst = out.y().rowPtr(py + row) + px;

@@ -259,6 +259,31 @@ class VopCodecBase
     void traceBlockLoad(ScratchRegion r, int n = kBlockSize) const;
     void traceBlockStore(ScratchRegion r, int n = kBlockSize);
 
+    /** Where one 8x8 block of a macroblock lives. */
+    struct BlockGeometry
+    {
+        int plane;      //!< 0 = Y, 1 = U, 2 = V.
+        int x0, y0;     //!< Top-left sample in the plane.
+        int dcX, dcY;   //!< Block coordinates for intra DC prediction.
+        int predOffset; //!< First sample in the Y+U+V MB prediction.
+        int predStride; //!< Row stride of the prediction samples.
+    };
+
+    /**
+     * Geometry of block @p b (0-3 luma in raster order, 4 = U,
+     * 5 = V) of macroblock (@p mx, @p my).
+     */
+    static BlockGeometry blockGeometry(int b, int mx, int my);
+
+    /**
+     * Store block @p g of @p out: its samples of the macroblock
+     * prediction @p pred (128 when @p intra) plus the residual
+     * @p idct, clamped to 8 bits, one traced row at a time.
+     */
+    static void addResidual(const Block &idct, const BlockGeometry &g,
+                            const uint8_t *pred, bool intra,
+                            video::Plane &out);
+
     /** Charge pure-compute cycles (transform butterflies etc.). */
     void tick(double cycles) const;
 
@@ -271,10 +296,11 @@ class VopCodecBase
 
     /** Block pipeline scratch (traced, L1-resident). */
     memsim::SimBuffer<int16_t> blockScratch_;
-    /** Forward / backward / interpolated predictions (Y+U+V). */
-    memsim::SimBuffer<uint8_t> predFwd_;
-    memsim::SimBuffer<uint8_t> predBwd_;
-    memsim::SimBuffer<uint8_t> predBi_;
+    /**
+     * Macroblock predictions (Y+U+V), indexed like B-VOP modes:
+     * forward, backward, interpolated.
+     */
+    memsim::SimBuffer<uint8_t> predBuf_[3];
 
     /** Window of the VOP being coded. */
     video::Rect window_;
@@ -339,16 +365,19 @@ class VopEncoder : public VopCodecBase
                        const std::vector<bits::BitWriter> &rowBw,
                        const std::vector<bits::BitWriter> *rowTex);
 
-    /** Run the analysis half of the block pipeline. */
-    BlockCode analyzeBlock(RowPredictors &rp, const video::Plane &cur,
-                           int x0, int y0, const uint8_t *pred,
-                           int pred_stride, bool intra, bool luma,
-                           int qp, int plane_idx, int bx, int by);
+    /**
+     * Run the analysis half of the block pipeline on block @p g of
+     * @p cur against the macroblock prediction @p pred.
+     */
+    BlockCode analyzeBlock(RowPredictors &rp,
+                           const video::Yuv420Image &cur,
+                           const BlockGeometry &g, const uint8_t *pred,
+                           bool intra, int qp);
 
-    /** Reconstruct a block into @p recon (if non-null). */
-    void reconBlock(const BlockCode &code, const uint8_t *pred,
-                    int pred_stride, bool intra, bool luma, int qp,
-                    video::Plane *recon, int x0, int y0);
+    /** Reconstruct block @p g into @p recon. */
+    void reconBlock(const BlockCode &code, const BlockGeometry &g,
+                    const uint8_t *pred, bool intra, int qp,
+                    video::Yuv420Image &recon);
 
     void encodeShapePass(bits::BitWriter &bw, const VopHeader &hdr,
                          const video::Plane &alpha,
@@ -418,15 +447,15 @@ class VopDecoder : public VopCodecBase
                     video::Yuv420Image &out, VopStats &stats);
 
     /**
-     * Decode one block's levels; @p st accumulates per-stage wall
-     * time (RLC read, dequant+IDCT, reconstruction) for the row's
-     * trace spans.
+     * Decode block @p g's levels and reconstruct it into @p out
+     * against the macroblock prediction @p pred; @p st accumulates
+     * per-stage wall time (RLC read, dequant+IDCT, reconstruction)
+     * for the row's trace spans.
      */
     void decodeBlockInto(RowPredictors &rp, bits::BitReader &br,
-                         bits::BitReader &tex, bool intra, bool luma,
-                         int qp, int plane_idx, int bx, int by,
-                         const uint8_t *pred, int pred_stride,
-                         video::Plane &out, int x0, int y0, bool coded,
+                         bits::BitReader &tex, const BlockGeometry &g,
+                         const uint8_t *pred, bool intra, bool coded,
+                         int qp, video::Yuv420Image &out,
                          obs::StageTimes &st);
 
     void decodeShapePass(bits::BitReader &br, const VopHeader &hdr,

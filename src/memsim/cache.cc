@@ -45,7 +45,7 @@ Cache::Cache(const CacheConfig &config) : config_(config)
 }
 
 AccessResult
-Cache::touch(uint64_t addr, bool is_write, bool count_as_use)
+Cache::touch(uint64_t addr, bool is_write)
 {
     const uint64_t line = lineAddr(addr);
     const uint64_t set = setIndex(line);
@@ -57,8 +57,7 @@ Cache::touch(uint64_t addr, bool is_write, bool count_as_use)
     for (int w = 0; w < config_.assoc; ++w) {
         Way &way = base[w];
         if (way.valid && way.tag == tag) {
-            if (count_as_use)
-                way.lastUse = tick_;
+            way.lastUse = tick_;
             way.dirty = way.dirty || is_write;
             return {true, false, 0};
         }
@@ -92,7 +91,7 @@ Cache::touch(uint64_t addr, bool is_write, bool count_as_use)
 AccessResult
 Cache::access(uint64_t addr, bool is_write)
 {
-    return touch(addr, is_write, true);
+    return touch(addr, is_write);
 }
 
 AccessResult
@@ -100,7 +99,7 @@ Cache::fill(uint64_t addr, bool is_write)
 {
     // A prefetch fill installs the line but gives it LRU age as if
     // freshly used; hardware typically inserts prefetches at MRU.
-    return touch(addr, is_write, true);
+    return touch(addr, is_write);
 }
 
 bool

@@ -90,7 +90,7 @@ class Cache
     uint64_t setIndex(uint64_t line) const { return line & setMask_; }
     uint64_t tagOf(uint64_t line) const { return line >> setShift_; }
 
-    AccessResult touch(uint64_t addr, bool is_write, bool count_as_use);
+    AccessResult touch(uint64_t addr, bool is_write);
 
     CacheConfig config_;
     int lineShift_;

@@ -1,17 +1,65 @@
 #include "memsim/hierarchy.hh"
 
 #include <bit>
+#include <vector>
 
 #include "support/logging.hh"
+#include "support/threadpool.hh"
 
 namespace m4ps::memsim
 {
+
+/**
+ * The accesses one orderedParallelFor() task made, in program order,
+ * waiting to be replayed against the caches.  Single writer (the
+ * thread running the task); replayed by the thread that started the
+ * region.
+ */
+struct TraceShard
+{
+    enum OpKind : uint32_t
+    {
+        kOpLoad = 0,
+        kOpStore,
+        kOpLoadRow,
+        kOpStoreRow,
+        kOpPrefetch,
+        kOpTick,
+    };
+
+    /** One recorded access; 16 bytes.  Tick stores cycles in addr. */
+    struct Op
+    {
+        uint64_t addr;
+        uint32_t bytes;
+        uint32_t elemsKind; //!< (elems << 3) | OpKind.
+    };
+
+    std::vector<Op> ops;
+
+    /**
+     * Replay the recorded accesses, in recording order, against
+     * @p mh's caches and counters.
+     */
+    void replayInto(MemoryHierarchy &mh) const;
+};
 
 namespace
 {
 
 /** Recording target of the current thread (null = simulate now). */
 thread_local TraceShard *tlsShard = nullptr;
+
+/** Binds a shard to the current thread for one task, throw or not. */
+class RecordInto
+{
+  public:
+    explicit RecordInto(TraceShard &shard) { tlsShard = &shard; }
+    ~RecordInto() { tlsShard = nullptr; }
+
+    RecordInto(const RecordInto &) = delete;
+    RecordInto &operator=(const RecordInto &) = delete;
+};
 
 } // namespace
 
@@ -23,18 +71,6 @@ MemoryHierarchy::MemoryHierarchy(const CacheConfig &l1,
 {
     M4PS_ASSERT(l2.lineBytes >= l1.lineBytes,
                 "L2 line must not be smaller than L1 line");
-}
-
-void
-MemoryHierarchy::bindShard(TraceShard *shard)
-{
-    tlsShard = shard;
-}
-
-TraceShard *
-MemoryHierarchy::boundShard()
-{
-    return tlsShard;
 }
 
 void
@@ -144,10 +180,8 @@ void
 MemoryHierarchy::load(uint64_t addr, int bytes)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({addr, static_cast<uint32_t>(bytes),
-                           (1u << 3) | TraceShard::kOpLoad});
-        ++s->tallies_.gradLoads;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess;
+        s->ops.push_back({addr, static_cast<uint32_t>(bytes),
+                          (1u << 3) | TraceShard::kOpLoad});
         return;
     }
     loadNow(addr, bytes);
@@ -157,10 +191,8 @@ void
 MemoryHierarchy::store(uint64_t addr, int bytes)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({addr, static_cast<uint32_t>(bytes),
-                           (1u << 3) | TraceShard::kOpStore});
-        ++s->tallies_.gradStores;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess;
+        s->ops.push_back({addr, static_cast<uint32_t>(bytes),
+                          (1u << 3) | TraceShard::kOpStore});
         return;
     }
     storeNow(addr, bytes);
@@ -170,11 +202,9 @@ void
 MemoryHierarchy::loadRow(uint64_t addr, uint64_t bytes, uint64_t elems)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops_.push_back(
+        s->ops.push_back(
             {addr, static_cast<uint32_t>(bytes),
              (static_cast<uint32_t>(elems) << 3) | TraceShard::kOpLoadRow});
-        s->tallies_.gradLoads += elems;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess * elems;
         return;
     }
     loadRowNow(addr, bytes, elems);
@@ -184,12 +214,10 @@ void
 MemoryHierarchy::storeRow(uint64_t addr, uint64_t bytes, uint64_t elems)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops_.push_back(
+        s->ops.push_back(
             {addr, static_cast<uint32_t>(bytes),
              (static_cast<uint32_t>(elems) << 3) |
                  TraceShard::kOpStoreRow});
-        s->tallies_.gradStores += elems;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess * elems;
         return;
     }
     storeRowNow(addr, bytes, elems);
@@ -199,9 +227,7 @@ void
 MemoryHierarchy::prefetch(uint64_t addr)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({addr, 0, (1u << 3) | TraceShard::kOpPrefetch});
-        ++s->tallies_.prefetches;
-        s->tallies_.computeCycles += 1.0;
+        s->ops.push_back({addr, 0, (1u << 3) | TraceShard::kOpPrefetch});
         return;
     }
     prefetchNow(addr);
@@ -211,9 +237,8 @@ void
 MemoryHierarchy::tick(double cycles)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({std::bit_cast<uint64_t>(cycles), 0,
-                           TraceShard::kOpTick});
-        s->tallies_.computeCycles += cycles;
+        s->ops.push_back({std::bit_cast<uint64_t>(cycles), 0,
+                          TraceShard::kOpTick});
         return;
     }
     ctrs_.computeCycles += cycles;
@@ -239,45 +264,62 @@ MemoryHierarchy::counterArgsJson(const CounterSet &c)
 }
 
 void
-MemoryHierarchy::merge(TraceShard &shard)
+TraceShard::replayInto(MemoryHierarchy &mh) const
 {
-    M4PS_ASSERT(tlsShard == nullptr,
-                "merge() must run outside any recording region");
     obs::Span span("memsim", "memsim.merge");
     if (span.active())
-        span.setArgs("{\"ops\":" + std::to_string(shard.ops_.size()) +
-                     "}");
-    const CounterSet before = span.active() ? ctrs_ : CounterSet{};
-    for (const TraceShard::Op &op : shard.ops_) {
+        span.setArgs("{\"ops\":" + std::to_string(ops.size()) + "}");
+    const CounterSet before = span.active() ? mh.ctrs_ : CounterSet{};
+    for (const Op &op : ops) {
         const uint64_t elems = op.elemsKind >> 3;
         switch (op.elemsKind & 7u) {
-          case TraceShard::kOpLoad:
-            loadNow(op.addr, static_cast<int>(op.bytes));
+          case kOpLoad:
+            mh.loadNow(op.addr, static_cast<int>(op.bytes));
             break;
-          case TraceShard::kOpStore:
-            storeNow(op.addr, static_cast<int>(op.bytes));
+          case kOpStore:
+            mh.storeNow(op.addr, static_cast<int>(op.bytes));
             break;
-          case TraceShard::kOpLoadRow:
-            loadRowNow(op.addr, op.bytes, elems);
+          case kOpLoadRow:
+            mh.loadRowNow(op.addr, op.bytes, elems);
             break;
-          case TraceShard::kOpStoreRow:
-            storeRowNow(op.addr, op.bytes, elems);
+          case kOpStoreRow:
+            mh.storeRowNow(op.addr, op.bytes, elems);
             break;
-          case TraceShard::kOpPrefetch:
-            prefetchNow(op.addr);
+          case kOpPrefetch:
+            mh.prefetchNow(op.addr);
             break;
-          case TraceShard::kOpTick:
-            ctrs_.computeCycles += std::bit_cast<double>(op.addr);
+          case kOpTick:
+            mh.ctrs_.computeCycles += std::bit_cast<double>(op.addr);
             break;
         }
     }
     if (span.active()) {
-        std::string args = counterArgsJson(ctrs_ - before);
+        std::string args =
+            MemoryHierarchy::counterArgsJson(mh.ctrs_ - before);
         args.back() = ',';
-        args += "\"ops\":" + std::to_string(shard.ops_.size()) + "}";
+        args += "\"ops\":" + std::to_string(ops.size()) + "}";
         span.setArgs(std::move(args));
     }
-    shard.clear();
+}
+
+void
+orderedParallelFor(MemoryHierarchy *mem, int n,
+                   const std::function<void(int)> &task)
+{
+    support::ThreadPool &pool = support::ThreadPool::global();
+    if (!mem || pool.threads() <= 1 || n <= 1) {
+        pool.parallelFor(n, task);
+        return;
+    }
+    M4PS_ASSERT(tlsShard == nullptr,
+                "orderedParallelFor() called from a recording task");
+    std::vector<TraceShard> shards(n);
+    pool.parallelFor(n, [&](int i) {
+        const RecordInto recording(shards[i]);
+        task(i);
+    });
+    for (const TraceShard &shard : shards)
+        shard.replayInto(*mem);
 }
 
 } // namespace m4ps::memsim

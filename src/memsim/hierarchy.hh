@@ -10,15 +10,12 @@
  * faster simulation) and software prefetches.
  *
  * Parallel runs: cache state is inherently order dependent, so
- * worker threads never touch it directly.  A task (one macroblock
- * row) binds a TraceShard to its thread; every access the task
- * performs is recorded into the shard instead of being simulated,
- * together with thread-locally accumulated order-independent
- * tallies (graduated accesses, prefetch counts, compute cycles).
- * After the parallel region the coordinating thread merges the
- * shards in deterministic row order, replaying each recorded access
- * against the real cache model.  Because the sequential encoder
- * processes rows in exactly that order, the merged counters are
+ * worker threads never touch it directly.  orderedParallelFor() gives
+ * each task (one macroblock row) its own recording shard: every
+ * access the task performs is recorded instead of simulated.  After
+ * the parallel region the calling thread replays the shards in task
+ * order against the real cache model.  Because the sequential codec
+ * processes rows in exactly that order, the counters are
  * bit-identical to a single-threaded run - no locks, no atomics on
  * the hot path, exact statistics.
  */
@@ -26,8 +23,8 @@
 #ifndef M4PS_MEMSIM_HIERARCHY_HH
 #define M4PS_MEMSIM_HIERARCHY_HH
 
+#include <functional>
 #include <string>
-#include <vector>
 
 #include "memsim/cache.hh"
 #include "memsim/cost_model.hh"
@@ -36,59 +33,6 @@
 
 namespace m4ps::memsim
 {
-
-/**
- * Per-task recording of simulated accesses plus the order-independent
- * counter tallies that can be accumulated without replay.  Single
- * writer (the bound thread); merged by one thread after the region.
- */
-class TraceShard
-{
-  public:
-    /** Drop recorded accesses and zero the tallies. */
-    void
-    clear()
-    {
-        ops_.clear();
-        tallies_ = CounterSet{};
-    }
-
-    bool empty() const { return ops_.empty(); }
-
-    /** Recorded access operations (loads, stores, prefetches, ticks). */
-    size_t size() const { return ops_.size(); }
-
-    /**
-     * Order-independent counters accumulated at record time:
-     * graduated loads/stores, prefetch issue counts, and compute
-     * cycles.  Cache hit/miss state is only known after replay.
-     */
-    const CounterSet &tallies() const { return tallies_; }
-
-  private:
-    friend class MemoryHierarchy;
-
-    enum OpKind : uint32_t
-    {
-        kOpLoad = 0,
-        kOpStore,
-        kOpLoadRow,
-        kOpStoreRow,
-        kOpPrefetch,
-        kOpTick,
-    };
-
-    /** One recorded access; 16 bytes.  Tick stores cycles in addr. */
-    struct Op
-    {
-        uint64_t addr;
-        uint32_t bytes;
-        uint32_t elemsKind; //!< (elems << 3) | OpKind.
-    };
-
-    std::vector<Op> ops_;
-    CounterSet tallies_;
-};
 
 /** L1 + L2 + DRAM model with perfex-style counters. */
 class MemoryHierarchy
@@ -122,25 +66,6 @@ class MemoryHierarchy
 
     /** Charge @p cycles of pure compute (entropy coding etc.). */
     void tick(double cycles);
-
-    /**
-     * Bind @p shard as the current thread's recording target (null
-     * unbinds).  While bound, every access on this thread is
-     * recorded instead of simulated.
-     */
-    static void bindShard(TraceShard *shard);
-
-    /** The shard bound to the current thread, or null. */
-    static TraceShard *boundShard();
-
-    /**
-     * Replay @p shard's recorded accesses, in recording order,
-     * against the cache model, then clear the shard.  Call from one
-     * thread, in deterministic task order, after the workers have
-     * finished: the resulting counters are exactly those of a
-     * sequential run that executed the tasks in merge order.
-     */
-    void merge(TraceShard &shard);
 
     const CounterSet &counters() const { return ctrs_; }
     RegionProfiler &profiler() { return prof_; }
@@ -199,6 +124,9 @@ class MemoryHierarchy
     static std::string counterArgsJson(const CounterSet &c);
 
   private:
+    /** A task's recorded accesses (hierarchy.cc). */
+    friend struct TraceShard;
+
     /** Demand access to one L1 line. */
     void touchLine(uint64_t addr, bool is_write);
 
@@ -219,6 +147,22 @@ class MemoryHierarchy
     RegionProfiler prof_;
     uint64_t l1LineMask_;
 };
+
+/**
+ * Run task(i) for every i in [0, n) on the global support::ThreadPool
+ * and leave @p mem's counters exactly as if the tasks had run one
+ * after another in index order.
+ *
+ * When @p mem is non-null, the pool has more than one thread and
+ * @p n > 1, each task records its accesses into a shard of its own
+ * and the calling thread replays the shards in index order once
+ * every task has finished; otherwise the tasks simulate directly.
+ * If a task throws, the shards are dropped, every thread is back to
+ * simulating directly, and the first exception is rethrown.  A
+ * recording task must not start another recording region.
+ */
+void orderedParallelFor(MemoryHierarchy *mem, int n,
+                        const std::function<void(int)> &task);
 
 } // namespace m4ps::memsim
 

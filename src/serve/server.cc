@@ -78,11 +78,32 @@ Server::~Server()
     stop();
 }
 
+int
+Server::eventCount(const std::string &type) const
+{
+    std::lock_guard<std::mutex> lock(logMu_);
+    return log_.count(type);
+}
+
+std::vector<std::string>
+Server::eventLines() const
+{
+    std::lock_guard<std::mutex> lock(logMu_);
+    return log_.lines();
+}
+
 void
 Server::attachEvents(std::ostream *os)
 {
     std::lock_guard<std::mutex> lock(logMu_);
     log_.attach(os);
+}
+
+void
+Server::attachRotatingEvents(service::RotatingLogSink *sink)
+{
+    std::lock_guard<std::mutex> lock(logMu_);
+    log_.attachRotating(sink);
 }
 
 void

@@ -218,8 +218,16 @@ class Server
      */
     std::string statsJson() const;
 
-    service::EventLog &events() { return log_; }
+    /**
+     * Event-log views, safe while sessions are still emitting: the
+     * number of events of @p type, and a copy of every line so far.
+     */
+    int eventCount(const std::string &type) const;
+    std::vector<std::string> eventLines() const;
+
+    /** Also stream every event line to @p os / @p sink (not owned). */
     void attachEvents(std::ostream *os);
+    void attachRotatingEvents(service::RotatingLogSink *sink);
 
     int activeSessions() const { return admission_.active(); }
     bool draining() const { return admission_.draining(); }

@@ -320,8 +320,9 @@ TEST(Interleave, DisprersesWireBurstsIntoIsolatedErrors)
         if (!back[i])
             continue;
         ++damaged;
-        if (i + 1 < back.size())
+        if (i + 1 < back.size()) {
             EXPECT_FALSE(back[i + 1]) << "adjacent damage at " << i;
+        }
     }
     EXPECT_EQ(damaged, depth);
 }

@@ -1,12 +1,20 @@
 /**
  * @file
  * Tests for the two-level hierarchy: counter semantics, row
- * coalescing, writeback propagation, prefetch modelling, regions.
+ * coalescing, writeback propagation, prefetch modelling, regions,
+ * and the ordered replay behind orderedParallelFor().
  */
+
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "memsim/hierarchy.hh"
+#include "support/random.hh"
+#include "support/threadpool.hh"
 
 namespace m4ps::memsim
 {
@@ -233,6 +241,171 @@ TEST(CounterSet, ArithmeticOperators)
     d += b;
     EXPECT_EQ(d.gradLoads, 10u);
     EXPECT_FALSE(a.str().empty());
+}
+
+// ---------------------------------------------------------------------
+// orderedParallelFor(): counters as if the tasks ran in index order.
+// ---------------------------------------------------------------------
+
+/** Resizes the global pool for one test, then restores it. */
+class GlobalThreads
+{
+  public:
+    explicit GlobalThreads(int threads)
+        : saved_(support::ThreadPool::global().threads())
+    {
+        support::ThreadPool::setGlobalThreads(threads);
+    }
+
+    ~GlobalThreads() { support::ThreadPool::setGlobalThreads(saved_); }
+
+    GlobalThreads(const GlobalThreads &) = delete;
+    GlobalThreads &operator=(const GlobalThreads &) = delete;
+
+  private:
+    int saved_;
+};
+
+constexpr int kTasks = 12;
+
+/**
+ * Task @p task's seeded mix of every access kind.  Addresses stay in
+ * 8 KB, eight times the L1, so tasks evict each other's lines and
+ * the counters depend on the order the tasks ran in.
+ */
+void
+runAccessMix(MemoryHierarchy &mh, int task)
+{
+    Rng rng(1000 + static_cast<uint64_t>(task));
+    for (int op = 0; op < 300; ++op) {
+        const uint64_t addr = rng.next() % 8192;
+        switch (rng.next() % 6) {
+          case 0:
+            mh.load(addr, 1 + static_cast<int>(rng.next() % 8));
+            break;
+          case 1:
+            mh.store(addr, 1 + static_cast<int>(rng.next() % 8));
+            break;
+          case 2: {
+            const uint64_t elems = 1 + rng.next() % 64;
+            mh.loadRow(addr, elems * 2, elems);
+            break;
+          }
+          case 3: {
+            const uint64_t elems = 1 + rng.next() % 64;
+            mh.storeRow(addr, elems, elems);
+            break;
+          }
+          case 4:
+            mh.prefetch(addr);
+            break;
+          default:
+            mh.tick(rng.uniformReal(0.0, 50.0));
+            break;
+        }
+    }
+}
+
+/** The tasks run one after another on this thread, in @p order. */
+CounterSet
+sequentialCounters(const std::vector<int> &order)
+{
+    MemoryHierarchy mh(kL1, kL2, unitCost());
+    for (const int task : order)
+        runAccessMix(mh, task);
+    return mh.counters();
+}
+
+std::vector<int>
+indexOrder()
+{
+    std::vector<int> order(kTasks);
+    for (int i = 0; i < kTasks; ++i)
+        order[i] = i;
+    return order;
+}
+
+TEST(OrderedParallelFor, CountersEqualASequentialRunInIndexOrder)
+{
+    const CounterSet expected = sequentialCounters(indexOrder());
+    // The mix is order-sensitive, so a replay in any other order
+    // would be caught.
+    std::vector<int> reversed = indexOrder();
+    std::reverse(reversed.begin(), reversed.end());
+    ASSERT_FALSE(sequentialCounters(reversed) == expected);
+
+    for (const int threads : {1, 4}) {
+        const GlobalThreads pool(threads);
+        MemoryHierarchy mh(kL1, kL2, unitCost());
+        orderedParallelFor(&mh, kTasks,
+                           [&](int i) { runAccessMix(mh, i); });
+        EXPECT_TRUE(mh.counters() == expected)
+            << threads << " threads:\n"
+            << mh.counters().str() << "\nexpected:\n"
+            << expected.str();
+    }
+}
+
+TEST(OrderedParallelFor, ScopedRegionSeesTheReplayedAccesses)
+{
+    MemoryHierarchy seq(kL1, kL2, unitCost());
+    seq.load(0x100, 4);
+    {
+        MemoryHierarchy::ScopedRegion region(seq, "tasks");
+        for (int i = 0; i < kTasks; ++i)
+            runAccessMix(seq, i);
+    }
+
+    for (const int threads : {1, 4}) {
+        const GlobalThreads pool(threads);
+        MemoryHierarchy mh(kL1, kL2, unitCost());
+        mh.load(0x100, 4);
+        {
+            MemoryHierarchy::ScopedRegion region(mh, "tasks");
+            orderedParallelFor(&mh, kTasks,
+                               [&](int i) { runAccessMix(mh, i); });
+        }
+        EXPECT_TRUE(mh.profiler().get("tasks") ==
+                    seq.profiler().get("tasks"))
+            << threads << " threads";
+        EXPECT_TRUE(mh.counters() == seq.counters())
+            << threads << " threads";
+    }
+}
+
+TEST(OrderedParallelFor, ThrowingTaskLeavesEveryThreadSimulatingDirectly)
+{
+    const GlobalThreads pool(4);
+    MemoryHierarchy mh(kL1, kL2, unitCost());
+    EXPECT_THROW(orderedParallelFor(&mh, kTasks,
+                                    [&](int i) {
+                                        runAccessMix(mh, i);
+                                        if (i == 5)
+                                            throw std::runtime_error(
+                                                "task failure");
+                                    }),
+                 std::runtime_error);
+    // The failed region's recordings are dropped, not replayed.
+    EXPECT_EQ(mh.counters().gradLoads, 0u);
+
+    // The calling thread simulates directly again...
+    mh.load(0x40, 1);
+    EXPECT_EQ(mh.counters().gradLoads, 1u);
+    EXPECT_EQ(mh.counters().l1Misses, 1u);
+
+    // ...and so does every pool thread: in a plain region, each
+    // task's access lands in its own hierarchy before the task ends.
+    std::vector<std::unique_ptr<MemoryHierarchy>> own;
+    for (int i = 0; i < kTasks; ++i)
+        own.push_back(
+            std::make_unique<MemoryHierarchy>(kL1, kL2, unitCost()));
+    std::vector<uint64_t> seen(kTasks, 0);
+    support::ThreadPool::global().parallelFor(kTasks, [&](int i) {
+        own[i]->load(0x40, 1);
+        seen[i] = own[i]->counters().gradLoads;
+    });
+    for (int i = 0; i < kTasks; ++i)
+        EXPECT_EQ(seen[i], 1u) << "task " << i;
 }
 
 TEST(HierarchyDeathTest, L2LineSmallerThanL1Rejected)

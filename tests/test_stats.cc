@@ -174,10 +174,10 @@ statsServerConfig()
 
 /** duration_ms values of every session_done line, ascending. */
 std::vector<double>
-eventLogDurations(const service::EventLog &log)
+eventLogDurations(const Server &server)
 {
     std::vector<double> out;
-    for (const std::string &l : log.lines()) {
+    for (const std::string &l : server.eventLines()) {
         if (l.rfind("{\"event\":\"session_done\"", 0) != 0)
             continue;
         const size_t k = l.find("\"duration_ms\":");
@@ -217,7 +217,7 @@ void
 awaitSessionsDone(Server &server, int n)
 {
     for (int i = 0; i < 200; ++i) {
-        if (server.events().count("session_done") >= n)
+        if (server.eventCount("session_done") >= n)
             return;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -247,7 +247,7 @@ TEST(StatsIntegration, SnapshotMatchesEventLogGroundTruth)
     // The counters the daemon serves and the events it logged are
     // two views of the same sessions; they must agree exactly.
     EXPECT_EQ(snap.stringOr("schema", ""), "m4ps-stats-v1");
-    EXPECT_EQ(server.events().count("session_done"), kSessions);
+    EXPECT_EQ(server.eventCount("session_done"), kSessions);
     const support::JsonValue *sessions = snap.find("sessions");
     ASSERT_NE(sessions, nullptr);
     EXPECT_EQ(sessions->numberOr("admitted", -1), kSessions);
@@ -266,7 +266,7 @@ TEST(StatsIntegration, SnapshotMatchesEventLogGroundTruth)
     // width, but they must land in the same bucket as the exact
     // quantile computed from the event-log durations.
     const std::vector<double> durations =
-        eventLogDurations(server.events());
+        eventLogDurations(server);
     ASSERT_EQ(durations.size(), static_cast<size_t>(kSessions));
     double lo = 0, hi = 0;
     bucketBoundsOf(durations[durations.size() / 2], &lo, &hi);
@@ -318,7 +318,7 @@ TEST(StatsIntegration, SloViolationsAreCountedPerWindow)
     // evaluates the window that saw the session.
     for (int i = 0; i < 100; ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        if (server.events().count("slo_violation") > 0)
+        if (server.eventCount("slo_violation") > 0)
             break;
     }
     const std::string payload = server.statsJson();
@@ -328,7 +328,7 @@ TEST(StatsIntegration, SloViolationsAreCountedPerWindow)
     EXPECT_EQ(slo->numberOr("p99_target_ms", -1), 1);
     EXPECT_GE(slo->numberOr("windows", 0), 1);
     EXPECT_GE(slo->numberOr("violations", 0), 1);
-    EXPECT_GE(server.events().count("slo_violation"), 1);
+    EXPECT_GE(server.eventCount("slo_violation"), 1);
     server.stop();
 }
 

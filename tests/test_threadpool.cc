@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/faultinject.hh"
 #include "core/runner.hh"
 #include "support/threadpool.hh"
 
@@ -147,71 +148,129 @@ dualLayerWorkload()
     return w;
 }
 
+/**
+ * One input to the determinism tests: a workload, and the bit error
+ * rate of the channel its stream crosses before it is decoded.
+ */
+struct DeterminismCase
+{
+    core::Workload w;
+    double ber = 0.0;      //!< 0: the clean stream, decoded strictly.
+    uint64_t faultSeed = 0;
+};
+
+std::vector<DeterminismCase>
+determinismCases()
+{
+    DeterminismCase clean{dualLayerWorkload()};
+    // Packetized and data-partitioned, one row per video packet, then
+    // damaged so the tolerant decoder rejects packets and conceals
+    // rows: parsePackets, the packetized row loop and concealRow all
+    // run under the thread pool.
+    DeterminismCase damaged{dualLayerWorkload()};
+    damaged.w.name = "threadpool-determinism-damaged";
+    damaged.w.resyncInterval = 1;
+    damaged.w.dataPartitioning = true;
+    damaged.ber = 2e-4;
+    damaged.faultSeed = 3;
+    return {clean, damaged};
+}
+
+/** The case's stream as the decoder receives it. */
+std::vector<uint8_t>
+receivedStream(const DeterminismCase &c)
+{
+    std::vector<uint8_t> stream =
+        core::ExperimentRunner::encodeUntraced(c.w);
+    if (c.ber > 0) {
+        const size_t headers = codec::protectableHeaderBytes(stream);
+        stream = codec::flipBits(std::move(stream), c.ber, c.faultSeed,
+                                 headers);
+    }
+    return stream;
+}
+
 TEST(ParallelDeterminism, EncodeBitstreamAndCountersMatchSequential)
 {
-    const core::Workload w = dualLayerWorkload();
     const core::MachineConfig machine = core::o2R12k1MB();
+    for (const DeterminismCase &c : determinismCases()) {
+        SCOPED_TRACE(c.w.name);
+        support::ThreadPool::setGlobalThreads(1);
+        std::vector<uint8_t> seqStream;
+        const core::RunResult seq =
+            core::ExperimentRunner::runEncode(c.w, machine, &seqStream);
+        EXPECT_EQ(seq.threads, 1);
 
-    support::ThreadPool::setGlobalThreads(1);
-    std::vector<uint8_t> seqStream;
-    const core::RunResult seq =
-        core::ExperimentRunner::runEncode(w, machine, &seqStream);
-
-    support::ThreadPool::setGlobalThreads(4);
-    std::vector<uint8_t> parStream;
-    const core::RunResult par =
-        core::ExperimentRunner::runEncode(w, machine, &parStream);
-
-    EXPECT_EQ(seq.threads, 1);
-    EXPECT_EQ(par.threads, 4);
-    // Bit-identical streams...
-    ASSERT_EQ(seqStream.size(), parStream.size());
-    EXPECT_TRUE(seqStream == parStream);
-    // ...and exactly matching merged memory-simulation counters,
-    // including the double-valued cycle accumulators (the shard
-    // replay preserves accumulation order).
-    EXPECT_TRUE(seq.whole.ctrs == par.whole.ctrs);
-    EXPECT_EQ(seq.whole.ctrs.l1Misses, par.whole.ctrs.l1Misses);
-    EXPECT_EQ(seq.whole.ctrs.l2Misses, par.whole.ctrs.l2Misses);
+        for (const int threads : {3, 4}) {
+            support::ThreadPool::setGlobalThreads(threads);
+            std::vector<uint8_t> parStream;
+            const core::RunResult par = core::ExperimentRunner::runEncode(
+                c.w, machine, &parStream);
+            EXPECT_EQ(par.threads, threads);
+            // Bit-identical streams...
+            ASSERT_EQ(seqStream.size(), parStream.size());
+            EXPECT_TRUE(seqStream == parStream) << threads << " threads";
+            // ...and exactly matching merged memory-simulation
+            // counters, including the double-valued cycle accumulators
+            // (the shard replay preserves accumulation order).
+            EXPECT_TRUE(seq.whole.ctrs == par.whole.ctrs)
+                << threads << " threads";
+            EXPECT_EQ(seq.whole.ctrs.l1Misses, par.whole.ctrs.l1Misses);
+            EXPECT_EQ(seq.whole.ctrs.l2Misses, par.whole.ctrs.l2Misses);
+        }
+    }
 }
 
 TEST(ParallelDeterminism, DecodeCountersAndQualityMatchSequential)
 {
-    const core::Workload w = dualLayerWorkload();
     const core::MachineConfig machine = core::onyxR10k2MB();
-    const std::vector<uint8_t> stream =
-        core::ExperimentRunner::encodeUntraced(w);
+    for (const DeterminismCase &c : determinismCases()) {
+        SCOPED_TRACE(c.w.name);
+        const std::vector<uint8_t> stream = receivedStream(c);
+        codec::DecodeOptions opts;
+        opts.tolerant = c.ber > 0;
 
-    support::ThreadPool::setGlobalThreads(1);
-    const core::RunResult seq =
-        core::ExperimentRunner::runDecode(w, machine, stream);
+        support::ThreadPool::setGlobalThreads(1);
+        const core::RunResult seq =
+            core::ExperimentRunner::runDecode(c.w, machine, stream, opts);
+        if (c.ber > 0) {
+            ASSERT_GT(seq.dec.mb.concealedMbs, 0)
+                << "the channel must force concealment";
+        }
 
-    support::ThreadPool::setGlobalThreads(4);
-    const core::RunResult par =
-        core::ExperimentRunner::runDecode(w, machine, stream);
-
-    EXPECT_TRUE(seq.whole.ctrs == par.whole.ctrs);
-    EXPECT_EQ(seq.meanPsnrY, par.meanPsnrY);
-    EXPECT_EQ(seq.displayedFrames, par.displayedFrames);
-    EXPECT_EQ(seq.dec.vops, par.dec.vops);
-    EXPECT_EQ(seq.dec.corruptedVops, par.dec.corruptedVops);
+        for (const int threads : {3, 4}) {
+            support::ThreadPool::setGlobalThreads(threads);
+            const core::RunResult par = core::ExperimentRunner::runDecode(
+                c.w, machine, stream, opts);
+            EXPECT_TRUE(seq.whole.ctrs == par.whole.ctrs)
+                << threads << " threads";
+            EXPECT_EQ(seq.meanPsnrY, par.meanPsnrY);
+            EXPECT_EQ(seq.displayedFrames, par.displayedFrames);
+            EXPECT_EQ(seq.dec.vops, par.dec.vops);
+            EXPECT_EQ(seq.dec.corruptedVops, par.dec.corruptedVops);
+            EXPECT_EQ(seq.dec.mb.concealedMbs, par.dec.mb.concealedMbs);
+            EXPECT_EQ(seq.dec.mb.corruptPackets,
+                      par.dec.mb.corruptPackets);
+        }
+    }
 }
 
 TEST(ParallelDeterminism, OddThreadCountAlsoMatches)
 {
     // Three threads against five macroblock rows exercises uneven
     // row-to-worker assignment.
-    const core::Workload w = dualLayerWorkload();
+    for (const DeterminismCase &c : determinismCases()) {
+        SCOPED_TRACE(c.w.name);
+        support::ThreadPool::setGlobalThreads(1);
+        const std::vector<uint8_t> seqStream =
+            core::ExperimentRunner::encodeUntraced(c.w);
 
-    support::ThreadPool::setGlobalThreads(1);
-    const std::vector<uint8_t> seqStream =
-        core::ExperimentRunner::encodeUntraced(w);
+        support::ThreadPool::setGlobalThreads(3);
+        const std::vector<uint8_t> parStream =
+            core::ExperimentRunner::encodeUntraced(c.w);
 
-    support::ThreadPool::setGlobalThreads(3);
-    const std::vector<uint8_t> parStream =
-        core::ExperimentRunner::encodeUntraced(w);
-
-    EXPECT_TRUE(seqStream == parStream);
+        EXPECT_TRUE(seqStream == parStream);
+    }
 }
 
 } // namespace

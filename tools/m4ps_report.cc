@@ -72,7 +72,7 @@ probe()
     // Enough work that even a coarse clock backend ticks.
     volatile double sink = 0;
     for (int i = 0; i < 2'000'000; ++i)
-        sink += static_cast<double>(i) * 1e-9;
+        sink = sink + static_cast<double>(i) * 1e-9;
     const perfctr::Counts delta = region.stop();
 
     const bool cyclesOk = delta.has(perfctr::Event::Cycles) &&

@@ -151,7 +151,7 @@ serveMain(int argc, char **argv)
         rotating = std::make_unique<service::RotatingLogSink>(
             args.get("events"), static_cast<size_t>(maxBytes),
             args.getIntInRange("events-keep", 3, 1, 100));
-        server.events().attachRotating(rotating.get());
+        server.attachRotatingEvents(rotating.get());
     }
 
     std::signal(SIGTERM, onSignal);
