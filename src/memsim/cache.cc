@@ -1,5 +1,6 @@
 #include "memsim/cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -41,57 +42,44 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     const uint64_t sets = config_.numSets();
     setShift_ = std::countr_zero(sets);
     setMask_ = sets - 1;
+    // Tags are addresses shifted right by at least one bit, so none
+    // can equal kInvalidTag.
+    M4PS_ASSERT(lineShift_ + setShift_ > 0,
+                "a one-set cache needs lines of at least 2 bytes");
     ways_.resize(sets * config_.assoc);
 }
 
 AccessResult
-Cache::touch(uint64_t addr, bool is_write)
+Cache::touchSlow(uint64_t addr, bool is_write)
 {
     const uint64_t line = lineAddr(addr);
     const uint64_t set = setIndex(line);
     const uint64_t tag = tagOf(line);
-    Way *base = &ways_[set * config_.assoc];
-    ++tick_;
+    const int assoc = config_.assoc;
+    Way *base = &ways_[set * assoc];
 
-    // Hit path first: tag match over the set's ways.
-    for (int w = 0; w < config_.assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = tick_;
-            way.dirty = way.dirty || is_write;
+    // Hit below the MRU way: move it to the front, ageing the ways
+    // that were more recent by one.
+    for (int w = 1; w < assoc; ++w) {
+        if (base[w].tag == tag) {
+            const Way hit{tag, base[w].dirty || is_write};
+            std::copy_backward(base, base + w, base + w + 1);
+            base[0] = hit;
             return {true, false, 0};
         }
     }
 
-    // Miss: fill an invalid way if one exists, else evict true LRU.
-    Way *victim = nullptr;
-    for (int w = 0; w < config_.assoc; ++w) {
-        Way &way = base[w];
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (!victim || way.lastUse < victim->lastUse)
-            victim = &way;
-    }
-
+    // Miss: the last way is the LRU line, or invalid if the set still
+    // has room.  Evict it and insert the new line at the front.
     AccessResult res;
-    res.hit = false;
-    if (victim->valid && victim->dirty) {
+    const Way &victim = base[assoc - 1];
+    if (victim.tag != kInvalidTag && victim.dirty) {
         res.evictedDirty = true;
-        res.evictedAddr = ((victim->tag << setShift_) | set) << lineShift_;
+        res.evictedAddr = ((victim.tag << setShift_) | set) << lineShift_;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = is_write;
-    victim->lastUse = tick_;
+    std::copy_backward(base, base + assoc - 1, base + assoc);
+    base[0] = {tag, is_write};
     return res;
-}
-
-AccessResult
-Cache::access(uint64_t addr, bool is_write)
-{
-    return touch(addr, is_write);
 }
 
 AccessResult
@@ -99,7 +87,7 @@ Cache::fill(uint64_t addr, bool is_write)
 {
     // A prefetch fill installs the line but gives it LRU age as if
     // freshly used; hardware typically inserts prefetches at MRU.
-    return touch(addr, is_write);
+    return access(addr, is_write);
 }
 
 bool
@@ -110,7 +98,7 @@ Cache::probe(uint64_t addr) const
     const uint64_t tag = tagOf(line);
     const Way *base = &ways_[set * config_.assoc];
     for (int w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return true;
     }
     return false;
@@ -121,7 +109,6 @@ Cache::reset()
 {
     for (auto &w : ways_)
         w = Way{};
-    tick_ = 0;
 }
 
 uint64_t
@@ -129,7 +116,7 @@ Cache::validLines() const
 {
     uint64_t n = 0;
     for (const auto &w : ways_)
-        n += w.valid ? 1 : 0;
+        n += w.tag != kInvalidTag ? 1 : 0;
     return n;
 }
 

@@ -6,6 +6,15 @@
  * 2-way, 32-byte lines) and the board-level secondary cache (1/2/8 MB,
  * 2-way, 128-byte lines).  The model is trace-driven and stateful:
  * tags, per-line dirty bits, and true-LRU replacement per set.
+ *
+ * Each set keeps its ways in recency order: way 0 is the most
+ * recently used line and the last way the least recently used one,
+ * so the order itself is the LRU state and no clock is needed.
+ * Invalid ways always sit at the tail (only reset() invalidates), so
+ * a miss evicts the last way.  MPEG-4 re-touches the line it just
+ * used almost every time (L1 hit rates above 99.9%), and a hit on
+ * way 0 changes nothing but the dirty bit: that compare is inline
+ * here, and everything else is on an out-of-line slow path.
  */
 
 #ifndef M4PS_MEMSIM_CACHE_HH
@@ -57,7 +66,28 @@ class Cache
      * @param is_write marks the line dirty.
      * @return hit/miss and victim information.
      */
-    AccessResult access(uint64_t addr, bool is_write);
+    AccessResult access(uint64_t addr, bool is_write)
+    {
+        if (hitMru(addr, is_write))
+            return {true, false, 0};
+        return touchSlow(addr, is_write);
+    }
+
+    /**
+     * The fast path of access(): true, and the line marked dirty on a
+     * write, when the line containing @p addr is its set's most
+     * recently used line.  Changes no other state, and nothing at
+     * all when it returns false.
+     */
+    bool hitMru(uint64_t addr, bool is_write)
+    {
+        const uint64_t line = lineAddr(addr);
+        Way &mru = ways_[setIndex(line) * config_.assoc];
+        if (mru.tag != tagOf(line))
+            return false;
+        mru.dirty |= is_write;
+        return true;
+    }
 
     /** True if the line containing @p addr is present (no state change). */
     bool probe(uint64_t addr) const;
@@ -78,11 +108,12 @@ class Cache
     uint64_t validLines() const;
 
   private:
+    /** Tag of an invalid way: no address shifts down to it. */
+    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
+
     struct Way
     {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
+        uint64_t tag = kInvalidTag;
         bool dirty = false;
     };
 
@@ -90,14 +121,14 @@ class Cache
     uint64_t setIndex(uint64_t line) const { return line & setMask_; }
     uint64_t tagOf(uint64_t line) const { return line >> setShift_; }
 
-    AccessResult touch(uint64_t addr, bool is_write);
+    /** access() past way 0: hit deeper in the set, or miss. */
+    AccessResult touchSlow(uint64_t addr, bool is_write);
 
     CacheConfig config_;
     int lineShift_;
     int setShift_;
     uint64_t setMask_;
-    uint64_t tick_ = 0;
-    std::vector<Way> ways_;      //!< sets * assoc, row-major by set.
+    std::vector<Way> ways_;      //!< sets * assoc, MRU first per set.
 };
 
 } // namespace m4ps::memsim

@@ -1,6 +1,12 @@
 #include "memsim/hierarchy.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstdint>
+#include <exception>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "support/logging.hh"
@@ -12,8 +18,8 @@ namespace m4ps::memsim
 /**
  * The accesses one orderedParallelFor() task made, in program order,
  * waiting to be replayed against the caches.  Single writer (the
- * thread running the task); replayed by the thread that started the
- * region.
+ * thread running the task); replayed, once the task has finished, by
+ * whichever thread holds the region's replayer role.
  */
 struct TraceShard
 {
@@ -36,6 +42,21 @@ struct TraceShard
     };
 
     std::vector<Op> ops;
+
+    /**
+     * Record a row op.  Its byte and element counts must fit the
+     * 16-byte encoding, or the replay would count a different row
+     * than the direct path does.
+     */
+    void recordRow(uint64_t addr, uint64_t bytes, uint64_t elems,
+                   OpKind kind)
+    {
+        M4PS_ASSERT(bytes <= UINT32_MAX && elems < (uint64_t{1} << 29),
+                    "row op too large to record: ", bytes, " bytes, ",
+                    elems, " elements");
+        ops.push_back({addr, static_cast<uint32_t>(bytes),
+                       static_cast<uint32_t>(elems << 3) | kind});
+    }
 
     /**
      * Replay the recorded accesses, in recording order, against
@@ -85,8 +106,15 @@ MemoryHierarchy::writebackToL2(uint64_t addr)
         ++ctrs_.l2Writebacks;
 }
 
-void
+inline void
 MemoryHierarchy::touchLine(uint64_t addr, bool is_write)
+{
+    if (!l1_.hitMru(addr, is_write))
+        touchLineSlow(addr, is_write);
+}
+
+void
+MemoryHierarchy::touchLineSlow(uint64_t addr, bool is_write)
 {
     AccessResult r1 = l1_.access(addr, is_write);
     if (r1.hit)
@@ -202,9 +230,7 @@ void
 MemoryHierarchy::loadRow(uint64_t addr, uint64_t bytes, uint64_t elems)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops.push_back(
-            {addr, static_cast<uint32_t>(bytes),
-             (static_cast<uint32_t>(elems) << 3) | TraceShard::kOpLoadRow});
+        s->recordRow(addr, bytes, elems, TraceShard::kOpLoadRow);
         return;
     }
     loadRowNow(addr, bytes, elems);
@@ -214,10 +240,7 @@ void
 MemoryHierarchy::storeRow(uint64_t addr, uint64_t bytes, uint64_t elems)
 {
     if (TraceShard *s = tlsShard) {
-        s->ops.push_back(
-            {addr, static_cast<uint32_t>(bytes),
-             (static_cast<uint32_t>(elems) << 3) |
-                 TraceShard::kOpStoreRow});
+        s->recordRow(addr, bytes, elems, TraceShard::kOpStoreRow);
         return;
     }
     storeRowNow(addr, bytes, elems);
@@ -302,6 +325,147 @@ TraceShard::replayInto(MemoryHierarchy &mh) const
     }
 }
 
+namespace
+{
+
+/**
+ * One recording orderedParallelFor() region.  Every pool thread runs
+ * work(): it claims tasks in index order from one counter, records
+ * each into its shard and publishes the shard when the task ends.
+ * Whichever thread then finds the next unreplayed shard finished
+ * takes the single replayer role and replays every consecutive
+ * finished shard, freeing each as it goes, so the replay streams in
+ * index order while later tasks are still running.
+ *
+ * The single replayer is the region's bottleneck, so claims stay
+ * within a window of tasks past the replay: shards recorded further
+ * ahead would finish no sooner and only hold memory.
+ */
+class OrderedRegion
+{
+  public:
+    OrderedRegion(MemoryHierarchy &mem, int n,
+                  const std::function<void(int)> &task, int window)
+        : mem_(mem), task_(task), shards_(n), state_(n),
+          window_(window), failed_(n)
+    {
+    }
+
+    /** Claim, run and publish tasks until none is left to claim. */
+    void work()
+    {
+        const int n = static_cast<int>(shards_.size());
+        while (!stop_.load(std::memory_order_relaxed)) {
+            const int claimed = next_.load();
+            if (claimed >= n)
+                return;
+            if (claimed - replayed_.load() >= window_) {
+                replayFinished();
+                std::this_thread::yield();
+                continue;
+            }
+            const int i = next_.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            // Record on this thread's stack: the vector headers in
+            // shards_ sit next to the ones other threads publish to.
+            TraceShard shard;
+            try {
+                const RecordInto recording(shard);
+                task_(i);
+            } catch (...) {
+                fail(i);
+                return;
+            }
+            shards_[i] = std::move(shard);
+            state_[i].store(kDone);
+            replayFinished();
+        }
+    }
+
+    /**
+     * After every work() call has returned: every shard below the
+     * lowest failed task has been replayed, the rest are dropped.
+     * Rethrows that task's exception, if any task threw.
+     */
+    void finish()
+    {
+        M4PS_ASSERT(replayed_.load() == failed_,
+                    "finished shards were left unreplayed");
+        if (error_)
+            std::rethrow_exception(error_);
+    }
+
+  private:
+    enum State : uint8_t
+    {
+        kPending = 0,
+        kDone,
+        kFailed,
+    };
+
+    /** Task @p i threw: no task from it on is replayed. */
+    void fail(int i)
+    {
+        {
+            const std::lock_guard<std::mutex> lock(errorMu_);
+            if (i < failed_) {
+                failed_ = i;
+                error_ = std::current_exception();
+            }
+        }
+        // Every task below i was claimed before i was, so stopping
+        // the claims loses none of the shards that will be replayed.
+        stop_.store(true, std::memory_order_relaxed);
+        state_[i].store(kFailed);
+    }
+
+    /** True when the next shard to replay has finished recording. */
+    bool headFinished() const
+    {
+        const int r = replayed_.load();
+        return r < static_cast<int>(shards_.size()) &&
+               state_[r].load() == kDone;
+    }
+
+    /**
+     * Replay finished shards in index order, if no other thread is.
+     * The role holder re-checks the head after letting go: a shard
+     * published while it held the role, by a thread that therefore
+     * backed off, is never stranded.  (Sequentially consistent
+     * accesses make the publisher's store and the holder's re-check
+     * see each other.)
+     */
+    void replayFinished()
+    {
+        while (headFinished() && !replaying_.exchange(true)) {
+            int r = replayed_.load();
+            while (r < static_cast<int>(shards_.size()) &&
+                   state_[r].load() == kDone) {
+                shards_[r].replayInto(mem_);
+                shards_[r] = {};
+                replayed_.store(++r);
+            }
+            replaying_.store(false);
+        }
+    }
+
+    MemoryHierarchy &mem_;
+    const std::function<void(int)> &task_;
+    std::vector<TraceShard> shards_;
+    std::vector<std::atomic<uint8_t>> state_;  //!< State per task.
+    const int window_;                 //!< Most tasks claimed past replay.
+    std::atomic<int> next_{0};         //!< Next task to claim.
+    std::atomic<bool> stop_{false};    //!< A task threw: claim no more.
+    std::atomic<int> replayed_{0};     //!< Shards replayed so far.
+    std::atomic<bool> replaying_{false}; //!< The replayer role is held.
+    std::mutex errorMu_;
+    int failed_;                       //!< Lowest failed task, or n.
+    std::exception_ptr error_;         //!< Its exception.
+};
+
+} // namespace
+
 void
 orderedParallelFor(MemoryHierarchy *mem, int n,
                    const std::function<void(int)> &task)
@@ -313,13 +477,12 @@ orderedParallelFor(MemoryHierarchy *mem, int n,
     }
     M4PS_ASSERT(tlsShard == nullptr,
                 "orderedParallelFor() called from a recording task");
-    std::vector<TraceShard> shards(n);
-    pool.parallelFor(n, [&](int i) {
-        const RecordInto recording(shards[i]);
-        task(i);
-    });
-    for (const TraceShard &shard : shards)
-        shard.replayInto(*mem);
+    // The pool's own queues would hand each thread its last row
+    // first; one work() per thread claims rows in index order.
+    const int workers = std::min(n, pool.threads());
+    OrderedRegion region(*mem, n, task, 2 * workers);
+    pool.parallelFor(workers, [&](int) { region.work(); });
+    region.finish();
 }
 
 } // namespace m4ps::memsim

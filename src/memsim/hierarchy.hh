@@ -12,12 +12,13 @@
  * Parallel runs: cache state is inherently order dependent, so
  * worker threads never touch it directly.  orderedParallelFor() gives
  * each task (one macroblock row) its own recording shard: every
- * access the task performs is recorded instead of simulated.  After
- * the parallel region the calling thread replays the shards in task
- * order against the real cache model.  Because the sequential codec
- * processes rows in exactly that order, the counters are
- * bit-identical to a single-threaded run - no locks, no atomics on
- * the hot path, exact statistics.
+ * access the task performs is recorded instead of simulated.  As
+ * soon as a task and every task before it have finished, its shard
+ * is replayed against the real cache model, one shard at a time in
+ * task order, while later tasks are still running.  Because the
+ * sequential codec processes rows in exactly that order, the counters
+ * are bit-identical to a single-threaded run - no locks, no atomics
+ * on the hot path, exact statistics.
  */
 
 #ifndef M4PS_MEMSIM_HIERARCHY_HH
@@ -127,8 +128,11 @@ class MemoryHierarchy
     /** A task's recorded accesses (hierarchy.cc). */
     friend struct TraceShard;
 
-    /** Demand access to one L1 line. */
+    /** Demand access to one L1 line: inline MRU hit, else the slow path. */
     void touchLine(uint64_t addr, bool is_write);
+
+    /** touchLine() when the line is not the MRU line of its L1 set. */
+    void touchLineSlow(uint64_t addr, bool is_write);
 
     /** Write a dirty L1 victim down into L2. */
     void writebackToL2(uint64_t addr);
@@ -154,12 +158,18 @@ class MemoryHierarchy
  * after another in index order.
  *
  * When @p mem is non-null, the pool has more than one thread and
- * @p n > 1, each task records its accesses into a shard of its own
- * and the calling thread replays the shards in index order once
- * every task has finished; otherwise the tasks simulate directly.
- * If a task throws, the shards are dropped, every thread is back to
- * simulating directly, and the first exception is rethrown.  A
- * recording task must not start another recording region.
+ * @p n > 1, the pool threads claim tasks in index order, each task
+ * records its accesses into a shard of its own, and finished shards
+ * are replayed in index order while later tasks still run; each
+ * shard is freed once replayed.  Otherwise the tasks simulate
+ * directly.  A recording task must not start another recording
+ * region, and must not read @p mem's counters.
+ *
+ * If tasks throw in a recording region, let k be the lowest index
+ * that threw: the counters and cache state are exactly those of
+ * tasks 0..k-1 run in order, the shards of task k and after are
+ * dropped (tasks not yet claimed never start), every thread is back
+ * to simulating directly, and task k's exception is rethrown.
  */
 void orderedParallelFor(MemoryHierarchy *mem, int n,
                         const std::function<void(int)> &task);

@@ -3,6 +3,9 @@
  * Unit and property tests for the set-associative cache model.
  */
 
+#include <bit>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "memsim/cache.hh"
@@ -201,6 +204,184 @@ TEST(Cache, BlockedReuseHitsAfterFirstTouch)
         for (uint64_t b = 0; b < 1024; b += 4)
             misses += c.access(b, false).hit ? 0 : 1;
     EXPECT_EQ(misses, 1024u / 32);
+}
+
+/**
+ * The timestamp-LRU cache that the recency-ordered Cache replaced,
+ * kept verbatim as the reference model the differential test below
+ * pins Cache to: a global clock ticks on every access or fill, each
+ * way remembers its last use, a miss fills the first invalid way or
+ * else evicts the way with the oldest last use.
+ */
+class TimestampLruCache
+{
+  public:
+    explicit TimestampLruCache(const CacheConfig &config)
+        : config_(config)
+    {
+        lineShift_ = std::countr_zero(
+            static_cast<uint64_t>(config_.lineBytes));
+        const uint64_t sets = config_.numSets();
+        setShift_ = std::countr_zero(sets);
+        setMask_ = sets - 1;
+        ways_.resize(sets * config_.assoc);
+    }
+
+    AccessResult access(uint64_t addr, bool is_write)
+    {
+        return touch(addr, is_write);
+    }
+
+    AccessResult fill(uint64_t addr, bool is_write)
+    {
+        return touch(addr, is_write);
+    }
+
+    bool probe(uint64_t addr) const
+    {
+        const uint64_t line = addr >> lineShift_;
+        const Way *base = &ways_[(line & setMask_) * config_.assoc];
+        for (int w = 0; w < config_.assoc; ++w) {
+            if (base[w].valid && base[w].tag == line >> setShift_)
+                return true;
+        }
+        return false;
+    }
+
+    void reset()
+    {
+        for (auto &w : ways_)
+            w = Way{};
+        tick_ = 0;
+    }
+
+    uint64_t validLines() const
+    {
+        uint64_t n = 0;
+        for (const auto &w : ways_)
+            n += w.valid ? 1 : 0;
+        return n;
+    }
+
+  private:
+    struct Way
+    {
+        uint64_t tag = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    AccessResult touch(uint64_t addr, bool is_write)
+    {
+        const uint64_t line = addr >> lineShift_;
+        const uint64_t set = line & setMask_;
+        const uint64_t tag = line >> setShift_;
+        Way *base = &ways_[set * config_.assoc];
+        ++tick_;
+
+        for (int w = 0; w < config_.assoc; ++w) {
+            Way &way = base[w];
+            if (way.valid && way.tag == tag) {
+                way.lastUse = tick_;
+                way.dirty = way.dirty || is_write;
+                return {true, false, 0};
+            }
+        }
+
+        Way *victim = nullptr;
+        for (int w = 0; w < config_.assoc; ++w) {
+            Way &way = base[w];
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+            if (!victim || way.lastUse < victim->lastUse)
+                victim = &way;
+        }
+
+        AccessResult res;
+        if (victim->valid && victim->dirty) {
+            res.evictedDirty = true;
+            res.evictedAddr =
+                ((victim->tag << setShift_) | set) << lineShift_;
+        }
+        victim->valid = true;
+        victim->tag = tag;
+        victim->dirty = is_write;
+        victim->lastUse = tick_;
+        return res;
+    }
+
+    CacheConfig config_;
+    int lineShift_;
+    int setShift_;
+    uint64_t setMask_;
+    uint64_t tick_ = 0;
+    std::vector<Way> ways_;
+};
+
+/**
+ * Cache against TimestampLruCache on seeded random streams of reads,
+ * writes, fills, probes, validLines() and the occasional reset(),
+ * over every associativity, line size and size the sweep names.
+ * Every AccessResult field must agree, op by op.
+ */
+TEST(Cache, MatchesTimestampLruReference)
+{
+    for (const int assoc : {1, 2, 4, 8}) {
+        for (const int line : {32, 128}) {
+            for (const uint64_t sets : {16u, 128u}) {
+                const CacheConfig cfg{sets * line * assoc, assoc, line};
+                SCOPED_TRACE(cfg.str());
+                Cache cache(cfg);
+                TimestampLruCache ref(cfg);
+                Rng rng(static_cast<uint64_t>(assoc * 1000 + line) ^
+                        sets);
+                // Four times the capacity, so sets overflow and
+                // evict; a hot eighth of it for reuse hits; and a
+                // few high addresses to check victim reconstruction.
+                const uint64_t span = 4 * cfg.sizeBytes;
+                for (int op = 0; op < 25000; ++op) {
+                    const uint64_t pick = rng.next() % 16;
+                    uint64_t addr = rng.next() % span;
+                    if (pick < 8)
+                        addr %= span / 32;
+                    else if (pick == 15)
+                        addr |= uint64_t{0xabcd} << 40;
+                    const bool write = rng.next() % 3 == 0;
+                    const uint64_t kind = rng.next() % 16;
+                    if (kind == 0) {
+                        ASSERT_EQ(cache.probe(addr), ref.probe(addr))
+                            << "op " << op;
+                    } else if (kind == 1) {
+                        ASSERT_EQ(cache.validLines(), ref.validLines())
+                            << "op " << op;
+                        if (rng.next() % 64 == 0) {
+                            cache.reset();
+                            ref.reset();
+                        }
+                    } else {
+                        // Kinds 2 and 3 are prefetch fills, the rest
+                        // demand accesses.
+                        const bool fill = kind < 4;
+                        const AccessResult got =
+                            fill ? cache.fill(addr, write)
+                                 : cache.access(addr, write);
+                        const AccessResult want =
+                            fill ? ref.fill(addr, write)
+                                 : ref.access(addr, write);
+                        ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                        ASSERT_EQ(got.evictedDirty, want.evictedDirty)
+                            << "op " << op;
+                        ASSERT_EQ(got.evictedAddr, want.evictedAddr)
+                            << "op " << op;
+                    }
+                }
+                EXPECT_EQ(cache.validLines(), ref.validLines());
+            }
+        }
+    }
 }
 
 } // namespace

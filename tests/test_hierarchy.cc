@@ -6,8 +6,11 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -373,25 +376,57 @@ TEST(OrderedParallelFor, ScopedRegionSeesTheReplayedAccesses)
     }
 }
 
+TEST(OrderedParallelFor, LaterTasksFinishingFirstStillReplayInIndexOrder)
+{
+    constexpr int kMany = 48;
+    std::vector<int> order(kMany);
+    for (int i = 0; i < kMany; ++i)
+        order[i] = i;
+    const CounterSet expected = sequentialCounters(order);
+
+    const GlobalThreads pool(4);
+    MemoryHierarchy mh(kL1, kL2, unitCost());
+    // Cost falls as the index rises, so each thread's later task
+    // overtakes the earlier ones still running elsewhere and its
+    // shard waits for theirs before it is replayed.
+    orderedParallelFor(&mh, kMany, [&](int i) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(50 * (kMany - i)));
+        runAccessMix(mh, i);
+    });
+    EXPECT_TRUE(mh.counters() == expected)
+        << mh.counters().str() << "\nexpected:\n" << expected.str();
+}
+
 TEST(OrderedParallelFor, ThrowingTaskLeavesEveryThreadSimulatingDirectly)
 {
     const GlobalThreads pool(4);
     MemoryHierarchy mh(kL1, kL2, unitCost());
-    EXPECT_THROW(orderedParallelFor(&mh, kTasks,
-                                    [&](int i) {
-                                        runAccessMix(mh, i);
-                                        if (i == 5)
-                                            throw std::runtime_error(
-                                                "task failure");
-                                    }),
-                 std::runtime_error);
-    // The failed region's recordings are dropped, not replayed.
-    EXPECT_EQ(mh.counters().gradLoads, 0u);
+    // Tasks 5 and 8 throw; 5 is the lowest, so its exception is the
+    // one rethrown, whichever failed first.
+    try {
+        orderedParallelFor(&mh, kTasks, [&](int i) {
+            runAccessMix(mh, i);
+            if (i == 5 || i == 8)
+                throw std::runtime_error("task " + std::to_string(i));
+        });
+        ADD_FAILURE() << "the task failures were not rethrown";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "task 5");
+    }
+    // Tasks 0..4 were replayed in order; task 5's shard and every
+    // later one were dropped.
+    MemoryHierarchy ref(kL1, kL2, unitCost());
+    for (int i = 0; i < 5; ++i)
+        runAccessMix(ref, i);
+    EXPECT_TRUE(mh.counters() == ref.counters())
+        << mh.counters().str() << "\nexpected:\n" << ref.counters().str();
 
-    // The calling thread simulates directly again...
+    // The calling thread simulates directly again, from the cache
+    // state that reference run left behind...
     mh.load(0x40, 1);
-    EXPECT_EQ(mh.counters().gradLoads, 1u);
-    EXPECT_EQ(mh.counters().l1Misses, 1u);
+    ref.load(0x40, 1);
+    EXPECT_TRUE(mh.counters() == ref.counters());
 
     // ...and so does every pool thread: in a plain region, each
     // task's access lands in its own hierarchy before the task ends.
@@ -413,6 +448,34 @@ TEST(HierarchyDeathTest, L2LineSmallerThanL1Rejected)
     CacheConfig l2small{16 * 1024, 2, 16};
     EXPECT_DEATH(MemoryHierarchy(kL1, l2small, unitCost()),
                  "L2 line must not be smaller");
+}
+
+/**
+ * A recorded row op keeps 32 bits of byte count and 29 of element
+ * count; a row past either would replay as a different row than the
+ * direct path counts, so recording it must panic instead.
+ */
+TEST(HierarchyDeathTest, RecordedRowTooLargeRejected)
+{
+    // The child re-runs this test from the top, so its pool has live
+    // worker threads and the rows really are recorded.
+    const std::string style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const GlobalThreads pool(4);
+    MemoryHierarchy mh(kL1, kL2, unitCost());
+    EXPECT_DEATH(orderedParallelFor(&mh, 2,
+                                    [&](int) {
+                                        mh.loadRow(0, uint64_t{1} << 32,
+                                                   1);
+                                    }),
+                 "row op too large to record");
+    EXPECT_DEATH(orderedParallelFor(&mh, 2,
+                                    [&](int) {
+                                        mh.storeRow(0, 64,
+                                                    uint64_t{1} << 29);
+                                    }),
+                 "row op too large to record");
+    ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 } // namespace
