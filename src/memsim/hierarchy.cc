@@ -4,8 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -329,103 +327,70 @@ namespace
 {
 
 /**
- * One recording orderedParallelFor() region.  Every pool thread runs
- * work(): it claims tasks in index order from one counter, records
- * each into its shard and publishes the shard when the task ends.
+ * One recording orderedParallelFor() region; run(i) is the pool task
+ * for task i.  The pool claims tasks in index order.  Each records
+ * into a shard of its own and publishes the shard when it ends.
  * Whichever thread then finds the next unreplayed shard finished
  * takes the single replayer role and replays every consecutive
  * finished shard, freeing each as it goes, so the replay streams in
  * index order while later tasks are still running.
  *
- * The single replayer is the region's bottleneck, so claims stay
- * within a window of tasks past the replay: shards recorded further
- * ahead would finish no sooner and only hold memory.
+ * The single replayer is the region's bottleneck, so a task claimed
+ * a window or more past the replay helps the replay until it is
+ * inside the window: shards recorded further ahead would finish no
+ * sooner and only hold memory.
  */
 class OrderedRegion
 {
   public:
     OrderedRegion(MemoryHierarchy &mem, int n,
                   const std::function<void(int)> &task, int window)
-        : mem_(mem), task_(task), shards_(n), state_(n),
+        : mem_(mem), task_(task), shards_(n), done_(n),
           window_(window), failed_(n)
     {
     }
 
-    /** Claim, run and publish tasks until none is left to claim. */
-    void work()
+    /** Wait for the window, then record, publish and replay task i. */
+    void run(int i)
     {
-        const int n = static_cast<int>(shards_.size());
-        while (!stop_.load(std::memory_order_relaxed)) {
-            const int claimed = next_.load();
-            if (claimed >= n)
+        while (i - replayed_.load() >= window_) {
+            // Only a failure below i lets it skip: the replay stops
+            // there, so task i would never be replayed.
+            if (failed_.load() < i)
                 return;
-            if (claimed - replayed_.load() >= window_) {
-                replayFinished();
-                std::this_thread::yield();
-                continue;
-            }
-            const int i = next_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            // Record on this thread's stack: the vector headers in
-            // shards_ sit next to the ones other threads publish to.
-            TraceShard shard;
-            try {
-                const RecordInto recording(shard);
-                task_(i);
-            } catch (...) {
-                fail(i);
-                return;
-            }
-            shards_[i] = std::move(shard);
-            state_[i].store(kDone);
             replayFinished();
+            std::this_thread::yield();
         }
+        // Record on this thread's stack: the vector headers in
+        // shards_ sit next to the ones other threads publish to.
+        TraceShard shard;
+        try {
+            const RecordInto recording(shard);
+            task_(i);
+        } catch (...) {
+            int f = failed_.load();
+            while (i < f && !failed_.compare_exchange_weak(f, i)) {
+            }
+            throw;
+        }
+        shards_[i] = std::move(shard);
+        done_[i].store(true);
+        replayFinished();
     }
 
-    /**
-     * After every work() call has returned: every shard below the
-     * lowest failed task has been replayed, the rest are dropped.
-     * Rethrows that task's exception, if any task threw.
-     */
-    void finish()
+    /** After a region in which no task threw: all were replayed. */
+    void finish() const
     {
-        M4PS_ASSERT(replayed_.load() == failed_,
+        M4PS_ASSERT(replayed_.load() == static_cast<int>(shards_.size()),
                     "finished shards were left unreplayed");
-        if (error_)
-            std::rethrow_exception(error_);
     }
 
   private:
-    enum State : uint8_t
-    {
-        kPending = 0,
-        kDone,
-        kFailed,
-    };
-
-    /** Task @p i threw: no task from it on is replayed. */
-    void fail(int i)
-    {
-        {
-            const std::lock_guard<std::mutex> lock(errorMu_);
-            if (i < failed_) {
-                failed_ = i;
-                error_ = std::current_exception();
-            }
-        }
-        // Every task below i was claimed before i was, so stopping
-        // the claims loses none of the shards that will be replayed.
-        stop_.store(true, std::memory_order_relaxed);
-        state_[i].store(kFailed);
-    }
-
     /** True when the next shard to replay has finished recording. */
     bool headFinished() const
     {
         const int r = replayed_.load();
-        return r < static_cast<int>(shards_.size()) &&
-               state_[r].load() == kDone;
+        return r < static_cast<int>(shards_.size()) && done_[r].load();
     }
 
     /**
@@ -441,7 +406,7 @@ class OrderedRegion
         while (headFinished() && !replaying_.exchange(true)) {
             int r = replayed_.load();
             while (r < static_cast<int>(shards_.size()) &&
-                   state_[r].load() == kDone) {
+                   done_[r].load()) {
                 shards_[r].replayInto(mem_);
                 shards_[r] = {};
                 replayed_.store(++r);
@@ -453,15 +418,11 @@ class OrderedRegion
     MemoryHierarchy &mem_;
     const std::function<void(int)> &task_;
     std::vector<TraceShard> shards_;
-    std::vector<std::atomic<uint8_t>> state_;  //!< State per task.
-    const int window_;                 //!< Most tasks claimed past replay.
-    std::atomic<int> next_{0};         //!< Next task to claim.
-    std::atomic<bool> stop_{false};    //!< A task threw: claim no more.
+    std::vector<std::atomic<bool>> done_; //!< Shard published, per task.
+    const int window_;                 //!< Most tasks recorded past replay.
+    std::atomic<int> failed_;          //!< Lowest task that threw, or n.
     std::atomic<int> replayed_{0};     //!< Shards replayed so far.
     std::atomic<bool> replaying_{false}; //!< The replayer role is held.
-    std::mutex errorMu_;
-    int failed_;                       //!< Lowest failed task, or n.
-    std::exception_ptr error_;         //!< Its exception.
 };
 
 } // namespace
@@ -477,11 +438,8 @@ orderedParallelFor(MemoryHierarchy *mem, int n,
     }
     M4PS_ASSERT(tlsShard == nullptr,
                 "orderedParallelFor() called from a recording task");
-    // The pool's own queues would hand each thread its last row
-    // first; one work() per thread claims rows in index order.
-    const int workers = std::min(n, pool.threads());
-    OrderedRegion region(*mem, n, task, 2 * workers);
-    pool.parallelFor(workers, [&](int) { region.work(); });
+    OrderedRegion region(*mem, n, task, 2 * std::min(n, pool.threads()));
+    pool.parallelFor(n, [&region](int i) { region.run(i); });
     region.finish();
 }
 

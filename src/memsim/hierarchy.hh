@@ -168,8 +168,8 @@ class MemoryHierarchy
  * If tasks throw in a recording region, let k be the lowest index
  * that threw: the counters and cache state are exactly those of
  * tasks 0..k-1 run in order, the shards of task k and after are
- * dropped (tasks not yet claimed never start), every thread is back
- * to simulating directly, and task k's exception is rethrown.
+ * dropped (tasks that had not started never do), every thread is
+ * back to simulating directly, and task k's exception is rethrown.
  */
 void orderedParallelFor(MemoryHierarchy *mem, int n,
                         const std::function<void(int)> &task);

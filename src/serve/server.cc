@@ -566,19 +566,9 @@ Server::tickLoop()
             StatsSample cur = currentSample(now);
             if (cfg_.sloP99Ms > 0 &&
                 cur.latencyCount > lastSample_.latencyCount) {
-                std::vector<uint64_t> deltas(
-                    cur.latencyBuckets.size(), 0);
-                for (size_t i = 0; i < deltas.size(); ++i) {
-                    const uint64_t b =
-                        i < lastSample_.latencyBuckets.size()
-                            ? lastSample_.latencyBuckets[i]
-                            : 0;
-                    deltas[i] = cur.latencyBuckets[i] >= b
-                                    ? cur.latencyBuckets[i] - b
-                                    : 0;
-                }
                 const double p99 = obs::quantileFromBuckets(
-                    sessionLatencyBoundsMs(), deltas, 0.99);
+                    sessionLatencyBoundsMs(),
+                    latencyBucketDeltas(lastSample_, cur), 0.99);
                 bool violated = false;
                 {
                     std::lock_guard<std::mutex> lock(statsMu_);

@@ -49,6 +49,19 @@ deltaOf(uint64_t now, uint64_t base)
 
 } // namespace
 
+std::vector<uint64_t>
+latencyBucketDeltas(const StatsSample &base, const StatsSample &now)
+{
+    std::vector<uint64_t> deltas(now.latencyBuckets.size(), 0);
+    for (size_t i = 0; i < deltas.size(); ++i) {
+        const uint64_t b = i < base.latencyBuckets.size()
+                               ? base.latencyBuckets[i]
+                               : 0;
+        deltas[i] = deltaOf(now.latencyBuckets[i], b);
+    }
+    return deltas;
+}
+
 void
 fillSnapshotWindow(ServiceSnapshot *snap, const StatsSample &base,
                    const StatsSample &now,
@@ -73,13 +86,7 @@ fillSnapshotWindow(ServiceSnapshot *snap, const StatsSample &base,
     }
     snap->shedRate = snap->shedsPerSec;
 
-    std::vector<uint64_t> deltas(now.latencyBuckets.size(), 0);
-    for (size_t i = 0; i < deltas.size(); ++i) {
-        const uint64_t b = i < base.latencyBuckets.size()
-                               ? base.latencyBuckets[i]
-                               : 0;
-        deltas[i] = deltaOf(now.latencyBuckets[i], b);
-    }
+    const std::vector<uint64_t> deltas = latencyBucketDeltas(base, now);
     snap->windowP50Ms =
         obs::quantileFromBuckets(boundsMs, deltas, 0.50);
     snap->windowP99Ms =

@@ -55,6 +55,14 @@ struct StatsSample
 };
 
 /**
+ * Sessions per latency bucket that ended between @p base and @p now
+ * (both cumulative; each delta clamps at zero), for
+ * obs::quantileFromBuckets over sessionLatencyBoundsMs().
+ */
+std::vector<uint64_t> latencyBucketDeltas(const StatsSample &base,
+                                          const StatsSample &now);
+
+/**
  * Bounded FIFO of periodic samples.  push() evicts the oldest entry
  * past capacity, so oldest() recedes at most capacity x interval into
  * the past - that distance is the stats window.  Internally locked:

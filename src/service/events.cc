@@ -5,38 +5,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "support/json.hh"
 #include "support/obs/obs.hh"
 
 namespace m4ps::service
 {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n";  break;
-          case '\r': out += "\\r";  break;
-          case '\t': out += "\\t";  break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 JsonEvent::JsonEvent(const std::string &type)
-    : type_(type), body_("{\"event\":\"" + jsonEscape(type) + "\"")
+    : type_(type),
+      body_("{\"event\":\"" + support::jsonEscaped(type) + "\"")
 {}
 
 JsonEvent &
@@ -44,7 +21,7 @@ JsonEvent::str(const char *key, const std::string &v)
 {
     body_ += ",\"";
     body_ += key;
-    body_ += "\":\"" + jsonEscape(v) + "\"";
+    body_ += "\":\"" + support::jsonEscaped(v) + "\"";
     return *this;
 }
 
@@ -167,7 +144,7 @@ EventLog::emit(const JsonEvent &e)
     const std::string trace_id = obs::traceId();
     if (!trace_id.empty() && !line.empty() && line.back() == '}') {
         line.pop_back();
-        line += ",\"trace_id\":\"" + jsonEscape(trace_id) + "\"}";
+        line += ",\"trace_id\":\"" + support::jsonEscaped(trace_id) + "\"}";
     }
     lines_.push_back(std::move(line));
     if (os_) {
@@ -187,7 +164,8 @@ EventLog::emit(const JsonEvent &e)
 int
 EventLog::count(const std::string &type) const
 {
-    const std::string needle = "{\"event\":\"" + jsonEscape(type) + "\"";
+    const std::string needle =
+        "{\"event\":\"" + support::jsonEscaped(type) + "\"";
     int n = 0;
     for (const std::string &l : lines_) {
         if (l.compare(0, needle.size(), needle) == 0)

@@ -46,9 +46,6 @@ class JsonEvent
     std::string body_;
 };
 
-/** Escape a string for embedding in a JSON literal (no quotes). */
-std::string jsonEscape(const std::string &s);
-
 /**
  * A size-capped rotating file sink for event lines.
  *

@@ -12,6 +12,7 @@
 
 #include "service/checkpoint.hh"
 #include "service/worker.hh"
+#include "support/json.hh"
 #include "support/obs/obs.hh"
 #include "support/perfctr/perfctr.hh"
 #include "support/serialize.hh"
@@ -282,7 +283,7 @@ Supervisor::run(const std::vector<JobSpec> &specs)
             obs::completeEvent(
                 "service", "job.attempt", t.attemptStartNs,
                 obs::nowNs() - t.attemptStartNs,
-                "{\"job\":\"" + jsonEscape(t.spec.id) +
+                "{\"job\":\"" + support::jsonEscaped(t.spec.id) +
                     "\",\"attempt\":" +
                     std::to_string(t.result.attempts) + "}");
             t.attemptStartNs = 0;

@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "support/json.hh"
+
 namespace m4ps::obs
 {
 
@@ -98,35 +100,6 @@ writeUs(std::ostream &os, uint64_t ns)
     os << buf;
 }
 
-void
-jsonEscapeTo(std::ostream &os, std::string_view s)
-{
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
 } // namespace
 
 void
@@ -136,10 +109,11 @@ writeChromeTrace(std::ostream &os)
     const std::string trace_id = traceId();
     // Splice the correlation id into every event's args; when the
     // event already carries args the id leads the existing object.
-    const auto argsWithId = [&trace_id](const std::string &args) {
+    const std::string idField =
+        "\"trace_id\":\"" + support::jsonEscaped(trace_id) + "\"";
+    const auto argsWithId = [&](const std::string &args) {
         if (trace_id.empty())
             return args;
-        std::string idField = "\"trace_id\":\"" + trace_id + "\"";
         if (args.empty())
             return "{" + idField + "}";
         if (args.size() >= 2 && args.front() == '{' && args[1] != '}')
@@ -157,9 +131,8 @@ writeChromeTrace(std::ostream &os)
     if (proc.empty())
         proc = "m4ps";
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-          "\"args\":{\"name\":\"";
-    jsonEscapeTo(os, proc);
-    os << "\"}}";
+          "\"args\":{\"name\":\""
+       << support::jsonEscaped(proc) << "\"}}";
     first = false;
     int maxTid = -1;
     for (const TraceEvent &e : events)
@@ -175,9 +148,8 @@ writeChromeTrace(std::ostream &os)
         if (!first)
             os << ",\n";
         first = false;
-        os << "{\"name\":\"";
-        jsonEscapeTo(os, e.name);
-        os << "\",\"cat\":\"" << e.cat << "\",\"ph\":\"" << e.phase
+        os << "{\"name\":\"" << support::jsonEscaped(e.name)
+           << "\",\"cat\":\"" << e.cat << "\",\"ph\":\"" << e.phase
            << "\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
         writeUs(os, e.tsNs);
         if (e.phase == 'X') {
@@ -195,11 +167,8 @@ writeChromeTrace(std::ostream &os)
     // batch correlation id; m4ps_tracecat reads both when merging.
     os << "],\"otherData\":{\"traceEpochRealtimeUs\":"
        << traceEpochRealtimeUs();
-    if (!trace_id.empty()) {
-        os << ",\"traceId\":\"";
-        jsonEscapeTo(os, trace_id);
-        os << "\"";
-    }
+    if (!trace_id.empty())
+        os << ",\"traceId\":\"" << support::jsonEscaped(trace_id) << "\"";
     os << "},\"displayTimeUnit\":\"ms\"}\n";
 }
 

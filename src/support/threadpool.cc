@@ -33,8 +33,8 @@ ThreadPool::ThreadPool(int threads)
     : nThreads_(threads < 1 ? 1 : threads)
 {
     workers_.reserve(nThreads_ - 1);
-    for (int slot = 1; slot < nThreads_; ++slot)
-        workers_.emplace_back([this, slot] { workerLoop(slot); });
+    for (int w = 1; w < nThreads_; ++w)
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -48,72 +48,36 @@ ThreadPool::~ThreadPool()
         w.join();
 }
 
-bool
-ThreadPool::runOne(Job &job, int slot)
+void
+ThreadPool::run(Job &job)
 {
-    int task = -1;
-    bool stolen = false;
-    const int slots = static_cast<int>(job.queues.size());
-    // Own queue first (back: most recently queued, cache-warm)...
-    {
-        std::lock_guard<std::mutex> lock(*job.queueMu[slot]);
-        if (!job.queues[slot].empty()) {
-            task = job.queues[slot].back();
-            job.queues[slot].pop_back();
-            static obs::Gauge &depth = obs::gauge("pool.queue_depth");
-            depth.set(static_cast<int64_t>(job.queues[slot].size()));
-        }
-    }
-    // ...then steal the oldest task from a neighbour.
-    for (int k = 1; task < 0 && k < slots; ++k) {
-        const int victim = (slot + k) % slots;
-        std::lock_guard<std::mutex> lock(*job.queueMu[victim]);
-        if (!job.queues[victim].empty()) {
-            task = job.queues[victim].front();
-            job.queues[victim].pop_front();
-            stolen = true;
-        }
-    }
-    if (task < 0)
-        return false;
-
     static obs::Counter &tasksC = obs::counter("pool.tasks");
-    static obs::Counter &stealsC = obs::counter("pool.steals");
-    tasksC.add();
-    if (stolen)
-        stealsC.add();
-    {
+    for (;;) {
+        const int task = job.next.fetch_add(1);
+        if (task >= job.n)
+            return;
+        tasksC.add();
         obs::Span taskSpan("pool", "pool.task");
         if (taskSpan.active())
-            taskSpan.setArgs("{\"task\":" + std::to_string(task) +
-                             (stolen ? ",\"stolen\":true}" : "}"));
+            taskSpan.setArgs("{\"task\":" + std::to_string(task) + "}");
         try {
             (*job.body)(task);
         } catch (...) {
+            // Every index below this one has been claimed, so the
+            // lowest failure is known once the claimed tasks finish.
             std::lock_guard<std::mutex> lock(job.errorMu);
-            if (!job.error)
+            if (!job.error || task < job.errorIndex) {
                 job.error = std::current_exception();
-        }
-    }
-    job.remaining.fetch_sub(1, std::memory_order_acq_rel);
-    return true;
-}
-
-void
-ThreadPool::drain(Job &job, int slot)
-{
-    while (job.remaining.load(std::memory_order_acquire) > 0) {
-        if (!runOne(job, slot)) {
-            // Every task is claimed; stragglers are still running on
-            // other threads.  Yield instead of blocking: regions are
-            // short (one VOP) and the tail is at most one row.
-            std::this_thread::yield();
+                job.errorIndex = task;
+            }
+            // Claim nothing more.
+            job.next.store(job.n);
         }
     }
 }
 
 void
-ThreadPool::workerLoop(int slot)
+ThreadPool::workerLoop()
 {
     uint64_t seen = 0;
     while (true) {
@@ -127,14 +91,14 @@ ThreadPool::workerLoop(int slot)
                 return;
             job = job_;
             seen = generation_;
-            // Register under mu_: once the caller clears job_ (also
-            // under mu_), no new worker can enter the job, so the
-            // caller only has to wait for activeWorkers to hit zero
-            // before letting the stack-allocated Job die.
+            // Register under mu_: once job_ no longer points at the
+            // job (changed under mu_ too), no new worker can enter
+            // it, so its caller only has to wait for activeWorkers
+            // to hit zero before letting the stack-allocated Job die.
             job->activeWorkers.fetch_add(1, std::memory_order_acq_rel);
         }
         tlsInParallelRegion = true;
-        drain(*job, slot);
+        run(*job);
         tlsInParallelRegion = false;
         job->activeWorkers.fetch_sub(1, std::memory_order_acq_rel);
     }
@@ -166,16 +130,7 @@ ThreadPool::parallelFor(int n, const std::function<void(int)> &body)
 
     Job job;
     job.body = &body;
-    job.queues.resize(nThreads_);
-    job.queueMu.reserve(nThreads_);
-    for (int s = 0; s < nThreads_; ++s)
-        job.queueMu.push_back(std::make_unique<std::mutex>());
-    // Round-robin seeding: contiguous rows land on different slots,
-    // so a cheap tail (e.g. rows below a shaped object) spreads out.
-    for (int i = 0; i < n; ++i)
-        job.queues[i % nThreads_].push_back(i);
-    job.remaining.store(n, std::memory_order_release);
-
+    job.n = n;
     {
         std::lock_guard<std::mutex> lock(mu_);
         job_ = &job;
@@ -184,16 +139,18 @@ ThreadPool::parallelFor(int n, const std::function<void(int)> &body)
     cv_.notify_all();
 
     tlsInParallelRegion = true;
-    drain(job, 0);
+    run(job);
     tlsInParallelRegion = false;
 
     {
         std::lock_guard<std::mutex> lock(mu_);
-        job_ = nullptr;
+        // A concurrent caller may have posted its own region since;
+        // the workers are its helpers now.
+        if (job_ == &job)
+            job_ = nullptr;
     }
-    // Workers that entered the job registered themselves under mu_
-    // before job_ was cleared; wait for the last to leave before the
-    // stack-allocated Job goes out of scope.
+    // Nothing is left to claim; wait for the workers still running
+    // claimed tasks before the stack-allocated Job goes out of scope.
     while (job.activeWorkers.load(std::memory_order_acquire) > 0)
         std::this_thread::yield();
     if (job.error)

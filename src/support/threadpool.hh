@@ -1,23 +1,22 @@
 /**
  * @file
- * Work-stealing thread pool for macroblock-row parallelism.
+ * Thread pool for macroblock-row parallelism.
  *
  * The paper shows MPEG-4 is compute bound on general-purpose cores
  * (DRAM stalls <= 12%, < 4% of bus bandwidth used), exactly the
  * profile where row-level parallelism scales near-linearly.  The
  * codec submits one task per macroblock row; rows at the bottom of a
  * shaped VOP can be much cheaper than rows through the object, so
- * idle workers steal queued rows from their neighbours instead of
- * waiting on a static partition.
+ * there is no static partition: every thread claims the next
+ * unclaimed row from one shared counter as soon as it is free.
  *
- * Design: each worker slot owns a deque of task indices.  The owner
- * pops from the back (LIFO, cache-warm); thieves steal from the
- * front (FIFO, oldest first).  The thread that calls parallelFor()
- * participates as slot 0, so a pool configured for N threads uses
- * N-1 background workers.  One parallel region runs at a time;
- * re-entrant calls degrade to inline execution, which keeps the pool
- * safe to use from code that does not know whether it is already
- * inside a parallel region.
+ * Design: one atomic counter per parallelFor() hands out task indices
+ * in increasing order, so every index below a claimed one has been
+ * claimed too.  The thread that calls parallelFor() participates, so
+ * a pool configured for N threads uses N-1 background workers, which
+ * help the most recently started region.  Re-entrant calls degrade
+ * to inline execution, which keeps the pool safe to use from code
+ * that does not know whether it is already inside a parallel region.
  */
 
 #ifndef M4PS_SUPPORT_THREADPOOL_HH
@@ -25,9 +24,8 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -35,7 +33,7 @@
 namespace m4ps::support
 {
 
-/** Fixed-size work-stealing pool executing integer-indexed tasks. */
+/** Fixed-size pool executing integer-indexed tasks in claim order. */
 class ThreadPool
 {
   public:
@@ -55,10 +53,11 @@ class ThreadPool
 
     /**
      * Run body(i) for every i in [0, n), distributed over the pool.
-     * Blocks until every task has finished.  Tasks run exactly once,
-     * in an unspecified order and on unspecified threads; if any
-     * task throws, the first exception (in completion order) is
-     * rethrown here after all tasks have drained.
+     * Threads claim indices in increasing order and run each claimed
+     * task exactly once.  Blocks until every claimed task has
+     * finished.  If a task throws, no further index is claimed, and
+     * the exception of the lowest index that threw is rethrown here
+     * -- the one a sequential loop would have stopped at.
      */
     void parallelFor(int n, const std::function<void(int)> &body);
 
@@ -77,28 +76,25 @@ class ThreadPool
     struct Job
     {
         const std::function<void(int)> *body = nullptr;
-        std::vector<std::deque<int>> queues;    //!< Per-slot tasks.
-        std::vector<std::unique_ptr<std::mutex>> queueMu;
-        std::atomic<int> remaining{0};          //!< Tasks not yet done.
-        std::atomic<int> activeWorkers{0};      //!< Workers inside drain().
+        int n = 0;
+        std::atomic<int> next{0};          //!< Next index; >= n: none.
+        std::atomic<int> activeWorkers{0}; //!< Workers inside run().
         std::mutex errorMu;
-        std::exception_ptr error;               //!< First failure.
+        int errorIndex = 0;                //!< Lowest index that threw.
+        std::exception_ptr error;          //!< Its exception.
     };
 
-    void workerLoop(int slot);
+    void workerLoop();
 
-    /** Pop own back / steal another front; run it.  False if empty. */
-    bool runOne(Job &job, int slot);
-
-    /** Work a job until every task has been claimed and finished. */
-    void drain(Job &job, int slot);
+    /** Claim and run tasks until none is left to claim. */
+    static void run(Job &job);
 
     int nThreads_;
     std::vector<std::thread> workers_;
 
     std::mutex mu_;
     std::condition_variable cv_;
-    Job *job_ = nullptr;       //!< Non-null while a region is active.
+    Job *job_ = nullptr;       //!< The region workers join, if any.
     uint64_t generation_ = 0;  //!< Bumped per parallelFor() wake-up.
     bool stop_ = false;
 };

@@ -257,7 +257,7 @@ TEST(Obs, ExportersProduceWellFormedDocuments)
     const std::string mt = metrics.str();
     EXPECT_NE(mt.find("counter enc.mbs "), std::string::npos);
     EXPECT_NE(mt.find("histogram enc.row_mb_count "), std::string::npos);
-    EXPECT_NE(mt.find("gauge pool.queue_depth "), std::string::npos);
+    EXPECT_NE(mt.find("counter pool.tasks "), std::string::npos);
 }
 
 TEST(Obs, DisabledRuntimeRecordsNothing)
@@ -467,6 +467,38 @@ TEST(ObsTrace, ExportCarriesProcessMetadataAndTraceId)
 
     obs::setTraceId("");
     obs::setProcessName("");
+}
+
+TEST(ObsTrace, TraceIdIsEscapedInEveryEvent)
+{
+    // The id may come from the environment (M4PS_TRACE_ID), so it can
+    // hold anything a JSON string has to escape.
+    const std::string id = "q\"x\\y\nz";
+    ObsSandbox sandbox;
+    obs::setTraceId(id);
+    obs::setTracing(true);
+    {
+        obs::Span bare("test", "bare.span");
+        obs::Span withArgs("test", "args.span");
+        withArgs.setArgs("{\"k\":1}");
+    }
+    obs::setTracing(false);
+    std::ostringstream os;
+    obs::writeChromeTrace(os);
+    obs::setTraceId("");
+
+    const support::JsonValue doc = support::parseJson(os.str());
+    EXPECT_EQ(doc.find("otherData")->stringOr("traceId", ""), id);
+    int spans = 0;
+    for (const support::JsonValue &e : doc.find("traceEvents")->array) {
+        if (e.stringOr("ph", "") == "M")
+            continue; // track metadata carries no id
+        ++spans;
+        ASSERT_NE(e.find("args"), nullptr) << e.stringOr("name", "");
+        EXPECT_EQ(e.find("args")->stringOr("trace_id", ""), id)
+            << e.stringOr("name", "");
+    }
+    EXPECT_EQ(spans, 2);
 }
 
 TEST(ObsTrace, ShardsMergeOntoOneClockWithNamedTracks)

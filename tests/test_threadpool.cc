@@ -1,6 +1,7 @@
 /**
  * @file
- * Work-stealing pool correctness plus the parallel-coding contract:
+ * Thread pool correctness (one in-order claim counter, the lowest
+ * failing index rethrown) plus the parallel-coding contract:
  * bitstreams and merged memsim counters are identical for any thread
  * count (docs/THREADING.md).
  *
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,19 +59,31 @@ TEST(ThreadPool, SingleThreadPoolRunsInlineInOrder)
 
 TEST(ThreadPool, PropagatesTaskException)
 {
-    support::ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    EXPECT_THROW(pool.parallelFor(32,
-                                  [&](int i) {
-                                      ran.fetch_add(1);
-                                      if (i == 7)
-                                          throw std::runtime_error(
-                                              "task failure");
-                                  }),
-                 std::runtime_error);
-    // One failing task does not abandon the rest of the region: the
-    // pool drains every queued index before rethrowing.
-    EXPECT_EQ(ran.load(), 32);
+    // Tasks 7 and 20 throw.  Whichever fails first, task 7's exception
+    // is the one rethrown -- the one a sequential loop stops at -- and
+    // every task up to it runs.
+    for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(threads);
+        support::ThreadPool pool(threads);
+        constexpr int kN = 32;
+        std::vector<std::atomic<int>> runs(kN);
+        try {
+            pool.parallelFor(kN, [&](int i) {
+                runs[i].fetch_add(1);
+                if (i == 7 || i == 20)
+                    throw std::runtime_error("task " + std::to_string(i));
+            });
+            ADD_FAILURE() << "the task failure was not rethrown";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "task 7");
+        }
+        for (int i = 0; i < kN; ++i) {
+            if (i <= 7)
+                EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+            else
+                EXPECT_LE(runs[i].load(), 1) << "task " << i;
+        }
+    }
 }
 
 TEST(ThreadPool, NestedParallelForDegradesInline)
@@ -88,45 +102,64 @@ TEST(ThreadPool, NestedParallelForDegradesInline)
 
 TEST(ThreadPool, IdleThreadsStealQueuedWork)
 {
-    // Two slots, four tasks seeded round-robin: slot 0 owns {0, 2},
-    // slot 1 owns {1, 3}.  Owners pop their own queue LIFO, so the
-    // worker takes task 3 first and blocks in it until task 1 -- the
-    // one left sitting in its own queue -- has completed.  Tasks 0
-    // and 2 hold the caller on its own queue until task 3 has
-    // started.  The only way task 1 can run is for the caller to
-    // steal it, so completion of this test proves stealing works.
-    support::ThreadPool pool(2);
-    std::atomic<bool> started3{false};
-    std::atomic<bool> done1{false};
+    // Task 0 blocks until the other 63 have finished, which they can
+    // only do if the threads task 0 does not hold go on claiming the
+    // rest of the region: a slow row never holds up the rows after it.
+    support::ThreadPool pool(4);
+    constexpr int kN = 64;
+    std::atomic<int> others{0};
     std::atomic<bool> timedOut{false};
-    std::thread::id tid[4];
 
-    const auto waitFor = [&](const std::atomic<bool> &flag) {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::seconds(30);
-        while (!flag.load()) {
+    pool.parallelFor(kN, [&](int i) {
+        if (i != 0) {
+            others.fetch_add(1);
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (others.load() < kN - 1) {
             if (std::chrono::steady_clock::now() > deadline) {
                 timedOut.store(true);
                 return;
             }
             std::this_thread::yield();
         }
-    };
-
-    pool.parallelFor(4, [&](int i) {
-        tid[i] = std::this_thread::get_id();
-        if (i == 0 || i == 2)
-            waitFor(started3);
-        if (i == 3) {
-            started3.store(true);
-            waitFor(done1);
-        }
-        if (i == 1)
-            done1.store(true);
     });
 
-    ASSERT_FALSE(timedOut.load()) << "work was never stolen";
-    EXPECT_NE(tid[1], tid[3]); // task 1 ran on the thief, not the owner
+    ASSERT_FALSE(timedOut.load()) << "a blocked task held up the rest";
+    EXPECT_EQ(others.load(), kN - 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachRunTheirWholeRegion)
+{
+    // Serve sessions share the global pool, so regions started on
+    // different threads overlap: whichever region the workers help,
+    // every caller's region runs whole, each index exactly once.
+    support::ThreadPool pool(4);
+    constexpr int kCallers = 3;
+    constexpr int kRegions = 200;
+    constexpr int kN = 257;
+    std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+    for (auto &h : hits)
+        h = std::vector<std::atomic<int>>(kRegions * kN);
+
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (int r = 0; r < kRegions; ++r)
+                pool.parallelFor(kN, [&](int i) {
+                    hits[c][r * kN + i].fetch_add(1);
+                });
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+
+    for (int c = 0; c < kCallers; ++c)
+        for (int k = 0; k < kRegions * kN; ++k)
+            ASSERT_EQ(hits[c][k].load(), 1)
+                << "caller " << c << " region " << k / kN << " index "
+                << k % kN;
 }
 
 // ---------------------------------------------------------------------
