@@ -6,11 +6,13 @@
  * m4ps-bench-v1 schema.
  *
  * Metric naming follows the bench_compare contract:
- *  - `wall_ns_per_pel` and `speedup_vs_scalar_wall` are host
- *    timings (warn-only in bench_compare);
- *  - `checksum` and `pels` are deterministic: the checksum folds
- *    every kernel output over a fixed pseudo-random input set, so a
- *    backend that silently diverges from scalar hard-fails the
+ *  - `wall_ns_per_pel` (`wall_ns_per_bit` for the Viterbi ACS rows,
+ *    per decoded bit) and `speedup_vs_scalar_wall` are host timings
+ *    (warn-only in bench_compare);
+ *  - `checksum` and `pels` (`bits`) are deterministic: the checksum
+ *    folds every kernel output over a fixed pseudo-random input set -
+ *    for the ACS, every decision word and the final path metric - so
+ *    a backend that silently diverges from scalar hard-fails the
  *    baseline diff - the same bit-identity contract the conformance
  *    suite enforces, here without a codec in the loop.
  *
@@ -57,11 +59,18 @@ fnv(uint64_t h, const void *data, size_t n)
     return h;
 }
 
+/** Viterbi ACS blocks in the working set, and steps per block. */
+constexpr size_t kAcsBlocks = 4;
+constexpr size_t kAcsSteps = 4096;
+
 /** Fixed pseudo-random working set every backend reads. */
 struct Inputs
 {
     std::vector<uint8_t> pels;    //!< Byte rows (SAD/interp/copy).
     std::vector<int16_t> blocks;  //!< 8x8 coefficient blocks.
+    /** K=7 butterfly table: the ACS costs the same for any code. */
+    uint8_t butterfly[32];
+    std::vector<uint8_t> symbols; //!< Offset-LLR symbols, 2 per step.
 
     Inputs()
     {
@@ -79,6 +88,11 @@ struct Inputs
             blocks[i] = static_cast<int16_t>(
                 rng.uniformInt(-amp, amp));
         }
+        for (auto &b : butterfly)
+            b = static_cast<uint8_t>(rng.next() & 3);
+        symbols.resize(2 * kAcsBlocks * kAcsSteps);
+        for (auto &sym : symbols)
+            sym = static_cast<uint8_t>(rng.next());
     }
 };
 
@@ -86,8 +100,8 @@ struct Inputs
 struct OpResult
 {
     std::string op;
-    double nsPerPel = 0;
-    double pels = 0;
+    double nsPerUnit = 0; //!< Per pel, or per bit (OpSpec::unit).
+    double units = 0;
     uint64_t checksum = 0;
 };
 
@@ -314,10 +328,51 @@ runSsd(const kn::KernelOps &k, const Inputs &in, uint64_t *pels,
     return h;
 }
 
+/** K=7 ACS over every symbol block; one decoded bit per step. */
+uint64_t
+runViterbi(const kn::KernelOps &k, const Inputs &in, bool soft,
+           uint64_t *bits, bool hash)
+{
+    uint64_t h = kFnvOffset;
+    std::vector<uint64_t> decisions(kAcsSteps);
+    for (size_t b = 0; b < kAcsBlocks; ++b) {
+        kn::AcsArgs a;
+        a.k = 7;
+        a.butterfly = in.butterfly;
+        a.symbols = &in.symbols[2 * kAcsSteps * b];
+        a.steps = kAcsSteps;
+        a.soft = soft;
+        a.decisions = decisions.data();
+        const uint64_t metric = k.viterbiAcs(a);
+        if (hash) {
+            h = fnv(h, decisions.data(),
+                    decisions.size() * sizeof(uint64_t));
+            h = fnv(h, &metric, sizeof(metric));
+        }
+    }
+    *bits = kAcsBlocks * kAcsSteps;
+    return h;
+}
+
+uint64_t
+runViterbiSoft(const kn::KernelOps &k, const Inputs &in, uint64_t *bits,
+               bool hash)
+{
+    return runViterbi(k, in, true, bits, hash);
+}
+
+uint64_t
+runViterbiHard(const kn::KernelOps &k, const Inputs &in, uint64_t *bits,
+               bool hash)
+{
+    return runViterbi(k, in, false, bits, hash);
+}
+
 struct OpSpec
 {
     const char *name;
     OpFn fn;
+    const char *unit = "pel"; //!< What the work count counts.
 };
 
 const OpSpec kOps[] = {
@@ -327,6 +382,8 @@ const OpSpec kOps[] = {
     {"predict_row", runPredict}, {"interp_row", runInterp},
     {"avg_row", runAvg},       {"copy_row", runCopy},
     {"ssd_row", runSsd},
+    {"viterbi_soft", runViterbiSoft, "bit"},
+    {"viterbi_hard", runViterbiHard, "bit"},
 };
 
 OpResult
@@ -337,7 +394,7 @@ timeOp(const OpSpec &spec, const kn::KernelOps &k, const Inputs &in,
     r.op = spec.name;
     uint64_t pels = 0;
     r.checksum = spec.fn(k, in, &pels, true); // warm-up + checksum
-    r.pels = static_cast<double>(pels);
+    r.units = static_cast<double>(pels);
     // Timed passes skip the checksum fold (a serial byte chain that
     // would otherwise dilute the kernel's share of the loop); the
     // indirect call through KernelOps keeps the work from being
@@ -355,7 +412,7 @@ timeOp(const OpSpec &spec, const kn::KernelOps &k, const Inputs &in,
         if (pass == 0 || t1 - t0 < best)
             best = t1 - t0;
     }
-    r.nsPerPel = best / (static_cast<double>(reps) * r.pels);
+    r.nsPerUnit = best / (static_cast<double>(reps) * r.units);
     uint64_t dummy = 0;
     if (spec.fn(k, in, &dummy, true) != r.checksum)
         r.checksum = ~uint64_t{0}; // nondeterminism marker
@@ -398,7 +455,7 @@ main(int argc, char **argv)
     for (kn::Isa isa : isas) {
         const kn::KernelOps &k = *kn::opsFor(isa);
         std::printf("\n%s backend:\n", k.name);
-        std::printf("  %-12s %12s %14s %10s\n", "kernel", "ns/pel",
+        std::printf("  %-12s %12s %14s %10s\n", "kernel", "ns/unit",
                     "checksum", "speedup");
         for (size_t op = 0; op < std::size(kOps); ++op) {
             const OpResult r = timeOp(kOps[op], k, inputs, reps);
@@ -407,7 +464,7 @@ main(int argc, char **argv)
                 scalarResults.push_back(r);
             } else {
                 const OpResult &s = scalarResults[op];
-                speedup = s.nsPerPel / r.nsPerPel;
+                speedup = s.nsPerUnit / r.nsPerUnit;
                 if (r.checksum != s.checksum) {
                     identical = false;
                     std::printf("  %-12s CHECKSUM MISMATCH vs "
@@ -415,9 +472,9 @@ main(int argc, char **argv)
                                 r.op.c_str());
                 }
             }
-            std::printf("  %-12s %12.3f %14" PRIx64 " %9.2fx\n",
-                        r.op.c_str(), r.nsPerPel, r.checksum,
-                        speedup);
+            std::printf("  %-12s %12.3f %14" PRIx64 " %9.2fx  (ns/%s)\n",
+                        r.op.c_str(), r.nsPerUnit, r.checksum, speedup,
+                        kOps[op].unit);
 
             bench::BenchEntry e;
             e.bench = "kernels/" + r.op + "@" + k.name;
@@ -426,9 +483,10 @@ main(int argc, char **argv)
             e.config.add("isa", support::JsonValue::of(k.name));
             e.config.add("reps", support::JsonValue::of(
                                      static_cast<int64_t>(reps)));
-            e.metrics.add("wall_ns_per_pel",
-                          support::JsonValue::of(r.nsPerPel));
-            e.metrics.add("pels", support::JsonValue::of(r.pels));
+            const std::string unit = kOps[op].unit;
+            e.metrics.add("wall_ns_per_" + unit,
+                          support::JsonValue::of(r.nsPerUnit));
+            e.metrics.add(unit + "s", support::JsonValue::of(r.units));
             e.metrics.add(
                 "checksum",
                 support::JsonValue::of(static_cast<double>(

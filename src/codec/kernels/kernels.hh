@@ -6,7 +6,8 @@
  * hardware; this layer is the controlled experiment that adds SIMD
  * back.  The inner loops of motion estimation (16x16/8x8 SAD with
  * half-pel variants), the 8x8 DCT/IDCT, quantization, half-pel plane
- * interpolation, and the concealment/prediction copies are factored
+ * interpolation, and the concealment/prediction copies - plus the
+ * FEC decoder's Viterbi add-compare-select - are factored
  * into a table of function pointers (KernelOps) with one
  * implementation per instruction set: portable scalar (the reference,
  * always compiled), SSE4.1 and AVX2 on x86-64, NEON on AArch64.  The
@@ -44,6 +45,7 @@
 #ifndef M4PS_CODEC_KERNELS_KERNELS_HH
 #define M4PS_CODEC_KERNELS_KERNELS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,6 +69,35 @@ struct QuantArgs
     bool intra = false;         //!< Intra block (no dead zone).
     bool mpeg = false;          //!< MPEG weighting-matrix mode.
     const int *matrix = nullptr;//!< 64-entry weight matrix when mpeg.
+};
+
+/**
+ * One block of Viterbi add-compare-select for the rate-1/2 code of
+ * fec/conv.hh (fec/viterbi.cc builds these).  States are numbered
+ * bit-reversed - newest input in the low bit - so butterfly j reads
+ * the metrics of states j and j + 2^(k-2) and writes states 2j
+ * (input 0) and 2j + 1 (input 1).
+ */
+struct AcsArgs
+{
+    int k = 7;                         //!< Constraint length, 3..7.
+    /**
+     * 2^(k-2) entries: the coded pair (g1 parity in bit 0) butterfly
+     * j expects from state j on input 0.  The other three branches
+     * follow from it: state j on input 1 and state j + 2^(k-2) on
+     * input 0 expect pair ^ 3, state j + 2^(k-2) on input 1 expects
+     * the pair itself.
+     */
+    const uint8_t *butterfly = nullptr;
+    const uint8_t *symbols = nullptr;  //!< 2 * steps offset-LLR bytes.
+    size_t steps = 0;                  //!< Trellis steps.
+    bool soft = false;                 //!< Soft or hard branch costs.
+    /**
+     * Out: one word per step; bit s is set when state s was reached
+     * from its predecessor s/2 + 2^(k-2) rather than s/2 (ties keep
+     * s/2).
+     */
+    uint64_t *decisions = nullptr;
 };
 
 /**
@@ -132,6 +163,14 @@ struct KernelOps
     void (*copyRow)(const uint8_t *src, int n, uint8_t *dst);
     /** Sum of squared differences (PSNR helpers); exact in uint64. */
     uint64_t (*ssdRow)(const uint8_t *a, const uint8_t *b, int n);
+
+    // --- Channel decoding ------------------------------------------
+    /**
+     * Viterbi add-compare-select over a block starting in state 0.
+     * Fills a.decisions and returns the exact accumulated metric of
+     * state 0 after the last step.
+     */
+    uint64_t (*viterbiAcs)(const AcsArgs &a);
 };
 
 /** Backend name for an ISA ("scalar", "sse41", "avx2", "neon"). */

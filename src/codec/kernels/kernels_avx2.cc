@@ -440,6 +440,100 @@ idct(const int16_t *in, int16_t *out)
     }
 }
 
+/**
+ * K=7 butterfly ACS over 16 butterflies per ymm of uint16 metrics
+ * (exact for any input; the bound is argued in kernels_internal.hh).
+ * m[0..1] hold states 0..31 - the "j" side of the 32 butterflies -
+ * and m[2..3] states 32..63.  Survivors interleave back into state
+ * order (unpack, then a 128-bit lane fix-up), and the decision masks
+ * interleave the same way, pack to bytes already in state order, and
+ * leave by movemask.  Branch costs are formed per lane as
+ * pair[0] + (bit-0 mask & d0) + (bit-1 mask & d1), in wrapping uint16
+ * arithmetic whose result is the exact cost.
+ */
+uint64_t
+viterbiAcs(const AcsArgs &a)
+{
+    if (a.k != 7)
+        return scalar::viterbiAcs(a);
+    alignas(32) uint16_t mask0[32], mask1[32];
+    for (int j = 0; j < 32; ++j) {
+        mask0[j] = (a.butterfly[j] & 1) ? 0xffff : 0;
+        mask1[j] = (a.butterfly[j] & 2) ? 0xffff : 0;
+    }
+    __m256i x0[2], x1[2];
+    for (int g = 0; g < 2; ++g) {
+        x0[g] = _mm256_load_si256(
+            reinterpret_cast<const __m256i *>(mask0 + 16 * g));
+        x1[g] = _mm256_load_si256(
+            reinterpret_cast<const __m256i *>(mask1 + 16 * g));
+    }
+    const short u = static_cast<short>(kAcsUnreachable);
+    __m256i m[4] = {
+        _mm256_setr_epi16(0, u, u, u, u, u, u, u, u, u, u, u, u, u, u,
+                          u),
+        _mm256_set1_epi16(u), _mm256_set1_epi16(u),
+        _mm256_set1_epi16(u)};
+    uint64_t normalized = 0;
+    for (size_t t = 0; t < a.steps; ++t) {
+        const AcsCosts c = acsCosts(a.symbols + 2 * t, a.soft);
+        const __m256i base =
+            _mm256_set1_epi16(static_cast<short>(c.pair[0]));
+        const __m256i d0 = _mm256_set1_epi16(
+            static_cast<short>(c.bit[0][1] - c.bit[0][0]));
+        const __m256i d1 = _mm256_set1_epi16(
+            static_cast<short>(c.bit[1][1] - c.bit[1][0]));
+        const __m256i total =
+            _mm256_set1_epi16(static_cast<short>(c.total));
+        uint64_t word = 0;
+        __m256i n[4];
+        for (int g = 0; g < 2; ++g) {
+            const __m256i bm = _mm256_add_epi16(
+                base, _mm256_add_epi16(_mm256_and_si256(x0[g], d0),
+                                       _mm256_and_si256(x1[g], d1)));
+            const __m256i bmc = _mm256_sub_epi16(total, bm);
+            const __m256i m0 = _mm256_add_epi16(m[g], bm);
+            const __m256i m1 = _mm256_add_epi16(m[g + 2], bmc);
+            const __m256i m2 = _mm256_add_epi16(m[g], bmc);
+            const __m256i m3 = _mm256_add_epi16(m[g + 2], bm);
+            const __m256i s0 = _mm256_min_epu16(m0, m1);
+            const __m256i s1 = _mm256_min_epu16(m2, m3);
+            const __m256i lo = _mm256_unpacklo_epi16(s0, s1);
+            const __m256i hi = _mm256_unpackhi_epi16(s0, s1);
+            n[2 * g] = _mm256_permute2x128_si256(lo, hi, 0x20);
+            n[2 * g + 1] = _mm256_permute2x128_si256(lo, hi, 0x31);
+            const __m256i e0 = _mm256_cmpgt_epi16(m0, m1);
+            const __m256i e1 = _mm256_cmpgt_epi16(m2, m3);
+            const __m256i dec =
+                _mm256_packs_epi16(_mm256_unpacklo_epi16(e0, e1),
+                                   _mm256_unpackhi_epi16(e0, e1));
+            word |= static_cast<uint64_t>(static_cast<uint32_t>(
+                        _mm256_movemask_epi8(dec)))
+                    << (32 * g);
+        }
+        a.decisions[t] = word;
+        for (int i = 0; i < 4; ++i)
+            m[i] = n[i];
+        if (t % kAcsRenormSteps == kAcsRenormSteps - 1) {
+            const __m256i mn =
+                _mm256_min_epu16(_mm256_min_epu16(m[0], m[1]),
+                                 _mm256_min_epu16(m[2], m[3]));
+            const uint16_t lo = static_cast<uint16_t>(
+                _mm_extract_epi16(
+                    _mm_minpos_epu16(_mm_min_epu16(
+                        _mm256_castsi256_si128(mn),
+                        _mm256_extracti128_si256(mn, 1))),
+                    0));
+            const __m256i v = _mm256_set1_epi16(static_cast<short>(lo));
+            for (__m256i &r : m)
+                r = _mm256_sub_epi16(r, v);
+            normalized += lo;
+        }
+    }
+    return normalized + static_cast<uint16_t>(_mm_extract_epi16(
+                            _mm256_castsi256_si128(m[0]), 0));
+}
+
 } // namespace avx2
 
 const KernelOps &
@@ -462,6 +556,7 @@ avx2Ops()
         avx2::avgRow,
         avx2::copyRow,
         avx2::ssdRow,
+        avx2::viterbiAcs,
     };
     return ops;
 }

@@ -30,6 +30,68 @@ struct DctTables
 
 const DctTables &dctTables();
 
+/*
+ * Viterbi ACS in uint16 path metrics, exactly.  Every backend keeps
+ * the metrics of one block in uint16 lanes and must still make the
+ * decisions - and return the total - of unbounded arithmetic:
+ *
+ *  - A decision compares two metrics of the same step (m1 < m0, ties
+ *    keep predecessor s/2), so subtracting one common value from
+ *    every metric changes no decision: metrics may be renormalized
+ *    at any cadence, and the caller's total is the sum of what was
+ *    subtracted plus the final metric of state 0.
+ *  - A branch costs at most 2 * 255 = 510 (soft; hard costs <= 2).
+ *    Every state is reachable from every other in k-1 <= 6 steps, so
+ *    once the start has been left behind no metric exceeds the
+ *    step's minimum by more than (k-1) * 510 = 3060.  Subtracting
+ *    the minimum every kAcsRenormSteps = 32 steps therefore keeps
+ *    every metric <= 3060 + 32 * 510 = 19380, for any input.
+ *  - States other than 0 start at kAcsUnreachable = 0x4000 > 3060:
+ *    for the first k-1 steps every comparison between a path from
+ *    state 0 and one from elsewhere goes to the path from state 0,
+ *    as it would from an infinite start, and paths that both start
+ *    elsewhere compare by their costs alone.  Those metrics stay
+ *    below 0x4000 + 6 * 510 = 19444 and are gone after step k-2.
+ *
+ * So every metric stays below 2^15: unsigned and signed 16-bit
+ * compares agree, and no add wraps.
+ */
+constexpr unsigned kAcsRenormSteps = 32;
+constexpr uint16_t kAcsUnreachable = 0x4000;
+
+/**
+ * One step's branch costs: pair[e] is the cost of expecting coded
+ * pair e (g1 parity in bit 0) against the two received symbols, and
+ * bit[i][x] the cost of symbol i against expected bit x, so that
+ * pair[e] = bit[0][e & 1] + bit[1][e >> 1] and
+ * pair[e ^ 3] = total - pair[e].  Soft: a symbol r costs r against
+ * 0 and 255 - r against 1.  Hard: a symbol costs 1 when it lies on
+ * the other side of the erasure value 128, and 0 when it is 128.
+ */
+struct AcsCosts
+{
+    uint16_t bit[2][2];
+    uint16_t pair[4];
+    uint16_t total;
+};
+
+inline AcsCosts
+acsCosts(const uint8_t *sym, bool soft)
+{
+    AcsCosts c;
+    for (int i = 0; i < 2; ++i) {
+        const uint8_t r = sym[i];
+        c.bit[i][0] = soft ? r : static_cast<uint16_t>(r > 128);
+        c.bit[i][1] = soft ? static_cast<uint16_t>(255 - r)
+                           : static_cast<uint16_t>(r < 128);
+    }
+    for (int e = 0; e < 4; ++e)
+        c.pair[e] =
+            static_cast<uint16_t>(c.bit[0][e & 1] + c.bit[1][e >> 1]);
+    c.total = static_cast<uint16_t>(c.pair[0] + c.pair[3]);
+    return c;
+}
+
 namespace scalar
 {
 
@@ -54,6 +116,8 @@ void interpRow(const uint8_t *r0, const uint8_t *r1, int n, uint8_t *h,
 void avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out);
 void copyRow(const uint8_t *src, int n, uint8_t *dst);
 uint64_t ssdRow(const uint8_t *a, const uint8_t *b, int n);
+/** Any k in [3, 7]; the SIMD backends take k = 7 only. */
+uint64_t viterbiAcs(const AcsArgs &a);
 
 /** MPEG-matrix halves of quant/dequant, shared by every backend. */
 void quantMpeg(const int16_t *coefs, int16_t *levels, int start,

@@ -359,6 +359,90 @@ idct(const int16_t *in, int16_t *out)
     }
 }
 
+/**
+ * K=7 butterfly ACS over 8 butterflies per q register of uint16
+ * metrics (exact for any input; the bound is argued in
+ * kernels_internal.hh).  m[0..3] hold states 0..31 - the "j" side of
+ * the 32 butterflies - and m[4..7] states 32..63.  Survivors zip back
+ * into state order; the decision masks zip the same way, narrow to
+ * bytes, and collapse to bits by weight-and-add.  Branch costs are
+ * formed per lane as pair[0] + (bit-0 mask & d0) + (bit-1 mask & d1)
+ * in wrapping uint16 arithmetic whose result is the exact cost.
+ */
+uint64_t
+viterbiAcs(const AcsArgs &a)
+{
+    if (a.k != 7)
+        return scalar::viterbiAcs(a);
+    uint16_t mask0[32], mask1[32];
+    for (int j = 0; j < 32; ++j) {
+        mask0[j] = (a.butterfly[j] & 1) ? 0xffff : 0;
+        mask1[j] = (a.butterfly[j] & 2) ? 0xffff : 0;
+    }
+    uint16x8_t x0[4], x1[4];
+    for (int g = 0; g < 4; ++g) {
+        x0[g] = vld1q_u16(mask0 + 8 * g);
+        x1[g] = vld1q_u16(mask1 + 8 * g);
+    }
+    static const uint8_t kBitWeights[16] = {1, 2, 4, 8, 16, 32, 64, 128,
+                                            1, 2, 4, 8, 16, 32, 64, 128};
+    const uint8x16_t weights = vld1q_u8(kBitWeights);
+    uint16x8_t m[8];
+    for (uint16x8_t &r : m)
+        r = vdupq_n_u16(kAcsUnreachable);
+    m[0] = vsetq_lane_u16(0, m[0], 0);
+    uint64_t normalized = 0;
+    for (size_t t = 0; t < a.steps; ++t) {
+        const AcsCosts c = acsCosts(a.symbols + 2 * t, a.soft);
+        const uint16x8_t base = vdupq_n_u16(c.pair[0]);
+        const uint16x8_t d0 = vdupq_n_u16(
+            static_cast<uint16_t>(c.bit[0][1] - c.bit[0][0]));
+        const uint16x8_t d1 = vdupq_n_u16(
+            static_cast<uint16_t>(c.bit[1][1] - c.bit[1][0]));
+        const uint16x8_t total = vdupq_n_u16(c.total);
+        uint64_t word = 0;
+        uint16x8_t n[8];
+        for (int g = 0; g < 4; ++g) {
+            const uint16x8_t bm = vaddq_u16(
+                base, vaddq_u16(vandq_u16(x0[g], d0),
+                                vandq_u16(x1[g], d1)));
+            const uint16x8_t bmc = vsubq_u16(total, bm);
+            const uint16x8_t m0 = vaddq_u16(m[g], bm);
+            const uint16x8_t m1 = vaddq_u16(m[g + 4], bmc);
+            const uint16x8_t m2 = vaddq_u16(m[g], bmc);
+            const uint16x8_t m3 = vaddq_u16(m[g + 4], bm);
+            const uint16x8_t s0 = vminq_u16(m0, m1);
+            const uint16x8_t s1 = vminq_u16(m2, m3);
+            n[2 * g] = vzip1q_u16(s0, s1);
+            n[2 * g + 1] = vzip2q_u16(s0, s1);
+            const uint16x8_t e0 = vcgtq_u16(m0, m1);
+            const uint16x8_t e1 = vcgtq_u16(m2, m3);
+            const uint8x16_t dec = vandq_u8(
+                vcombine_u8(vmovn_u16(vzip1q_u16(e0, e1)),
+                            vmovn_u16(vzip2q_u16(e0, e1))),
+                weights);
+            const uint64_t bits =
+                vaddv_u8(vget_low_u8(dec)) |
+                (static_cast<uint64_t>(vaddv_u8(vget_high_u8(dec))) << 8);
+            word |= bits << (16 * g);
+        }
+        a.decisions[t] = word;
+        for (int i = 0; i < 8; ++i)
+            m[i] = n[i];
+        if (t % kAcsRenormSteps == kAcsRenormSteps - 1) {
+            uint16x8_t mn = m[0];
+            for (int i = 1; i < 8; ++i)
+                mn = vminq_u16(mn, m[i]);
+            const uint16_t lo = vminvq_u16(mn);
+            const uint16x8_t v = vdupq_n_u16(lo);
+            for (uint16x8_t &r : m)
+                r = vsubq_u16(r, v);
+            normalized += lo;
+        }
+    }
+    return normalized + vgetq_lane_u16(m[0], 0);
+}
+
 } // namespace neon
 
 const KernelOps &
@@ -381,6 +465,7 @@ neonOps()
         neon::avgRow,
         neon::copyRow,
         neon::ssdRow,
+        neon::viterbiAcs,
     };
     return ops;
 }

@@ -4,7 +4,8 @@
  * must match bit-for-bit.  These bodies are the original inner loops
  * of codec/motion.cc, codec/dct.cc, codec/quant.cc, and
  * codec/interp.cc, lifted verbatim onto raw row pointers; the callers
- * keep the memsim trace calls (kernels.hh contract 2).
+ * keep the memsim trace calls (kernels.hh contract 2).  The Viterbi
+ * ACS is the butterfly form of fec/viterbi.cc's former per-state loop.
  */
 
 #include "codec/kernels/kernels_internal.hh"
@@ -325,6 +326,44 @@ ssdRow(const uint8_t *a, const uint8_t *b, int n)
     return acc;
 }
 
+uint64_t
+viterbiAcs(const AcsArgs &a)
+{
+    // uint16 metrics, exact for any input (kernels_internal.hh);
+    // min/select compile to conditional moves, so a noisy channel
+    // costs no mispredicted branches.
+    const int half = 1 << (a.k - 2);
+    uint16_t buf[2][64];
+    uint16_t *cur = buf[0], *nxt = buf[1];
+    std::fill(cur, cur + 2 * half, kAcsUnreachable);
+    cur[0] = 0;
+    uint64_t normalized = 0;
+    for (size_t t = 0; t < a.steps; ++t) {
+        const AcsCosts c = acsCosts(a.symbols + 2 * t, a.soft);
+        uint64_t word = 0;
+        for (int j = 0; j < half; ++j) {
+            const unsigned bm = c.pair[a.butterfly[j]];
+            const unsigned bmc = c.total - bm;
+            const unsigned m0 = cur[j] + bm, m1 = cur[j + half] + bmc;
+            const unsigned m2 = cur[j] + bmc, m3 = cur[j + half] + bm;
+            const bool d0 = m1 < m0, d1 = m3 < m2;
+            nxt[2 * j] = static_cast<uint16_t>(d0 ? m1 : m0);
+            nxt[2 * j + 1] = static_cast<uint16_t>(d1 ? m3 : m2);
+            word |= (static_cast<uint64_t>(d0) << (2 * j)) |
+                    (static_cast<uint64_t>(d1) << (2 * j + 1));
+        }
+        a.decisions[t] = word;
+        std::swap(cur, nxt);
+        if (t % kAcsRenormSteps == kAcsRenormSteps - 1) {
+            const uint16_t lo = *std::min_element(cur, cur + 2 * half);
+            for (int s = 0; s < 2 * half; ++s)
+                cur[s] = static_cast<uint16_t>(cur[s] - lo);
+            normalized += lo;
+        }
+    }
+    return normalized + cur[0];
+}
+
 } // namespace scalar
 
 const KernelOps &
@@ -347,6 +386,7 @@ scalarOps()
         scalar::avgRow,
         scalar::copyRow,
         scalar::ssdRow,
+        scalar::viterbiAcs,
     };
     return ops;
 }

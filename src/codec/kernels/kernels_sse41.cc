@@ -465,6 +465,89 @@ idct(const int16_t *in, int16_t *out)
     }
 }
 
+/**
+ * K=7 butterfly ACS over 8 butterflies per xmm of uint16 metrics
+ * (exact for any input; the bound is argued in kernels_internal.hh).
+ * m[0..3] hold states 0..31 - the "j" side of the 32 butterflies -
+ * and m[4..7] states 32..63.  Survivors interleave back into state
+ * order with one unpack pair, the decision masks interleave the same
+ * way and pack to bytes in state order, and branch costs are formed
+ * per lane as pair[0] + (bit-0 mask & d0) + (bit-1 mask & d1) in
+ * wrapping uint16 arithmetic whose result is the exact cost.
+ */
+uint64_t
+viterbiAcs(const AcsArgs &a)
+{
+    if (a.k != 7)
+        return scalar::viterbiAcs(a);
+    uint16_t mask0[32], mask1[32];
+    for (int j = 0; j < 32; ++j) {
+        mask0[j] = (a.butterfly[j] & 1) ? 0xffff : 0;
+        mask1[j] = (a.butterfly[j] & 2) ? 0xffff : 0;
+    }
+    __m128i x0[4], x1[4];
+    for (int g = 0; g < 4; ++g) {
+        x0[g] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(mask0 + 8 * g));
+        x1[g] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(mask1 + 8 * g));
+    }
+    const short u = static_cast<short>(kAcsUnreachable);
+    __m128i m[8];
+    for (__m128i &r : m)
+        r = _mm_set1_epi16(u);
+    m[0] = _mm_setr_epi16(0, u, u, u, u, u, u, u);
+    uint64_t normalized = 0;
+    for (size_t t = 0; t < a.steps; ++t) {
+        const AcsCosts c = acsCosts(a.symbols + 2 * t, a.soft);
+        const __m128i base = _mm_set1_epi16(static_cast<short>(c.pair[0]));
+        const __m128i d0 = _mm_set1_epi16(
+            static_cast<short>(c.bit[0][1] - c.bit[0][0]));
+        const __m128i d1 = _mm_set1_epi16(
+            static_cast<short>(c.bit[1][1] - c.bit[1][0]));
+        const __m128i total = _mm_set1_epi16(static_cast<short>(c.total));
+        uint64_t word = 0;
+        __m128i n[8];
+        for (int g = 0; g < 4; ++g) {
+            const __m128i bm = _mm_add_epi16(
+                base, _mm_add_epi16(_mm_and_si128(x0[g], d0),
+                                    _mm_and_si128(x1[g], d1)));
+            const __m128i bmc = _mm_sub_epi16(total, bm);
+            const __m128i m0 = _mm_add_epi16(m[g], bm);
+            const __m128i m1 = _mm_add_epi16(m[g + 4], bmc);
+            const __m128i m2 = _mm_add_epi16(m[g], bmc);
+            const __m128i m3 = _mm_add_epi16(m[g + 4], bm);
+            const __m128i s0 = _mm_min_epu16(m0, m1);
+            const __m128i s1 = _mm_min_epu16(m2, m3);
+            n[2 * g] = _mm_unpacklo_epi16(s0, s1);
+            n[2 * g + 1] = _mm_unpackhi_epi16(s0, s1);
+            const __m128i e0 = _mm_cmpgt_epi16(m0, m1);
+            const __m128i e1 = _mm_cmpgt_epi16(m2, m3);
+            const __m128i dec = _mm_packs_epi16(_mm_unpacklo_epi16(e0, e1),
+                                                _mm_unpackhi_epi16(e0, e1));
+            word |= static_cast<uint64_t>(
+                        static_cast<uint16_t>(_mm_movemask_epi8(dec)))
+                    << (16 * g);
+        }
+        a.decisions[t] = word;
+        for (int i = 0; i < 8; ++i)
+            m[i] = n[i];
+        if (t % kAcsRenormSteps == kAcsRenormSteps - 1) {
+            __m128i mn = m[0];
+            for (int i = 1; i < 8; ++i)
+                mn = _mm_min_epu16(mn, m[i]);
+            const uint16_t lo = static_cast<uint16_t>(
+                _mm_extract_epi16(_mm_minpos_epu16(mn), 0));
+            const __m128i v = _mm_set1_epi16(static_cast<short>(lo));
+            for (__m128i &r : m)
+                r = _mm_sub_epi16(r, v);
+            normalized += lo;
+        }
+    }
+    return normalized +
+           static_cast<uint16_t>(_mm_extract_epi16(m[0], 0));
+}
+
 } // namespace sse41
 
 const KernelOps &
@@ -487,6 +570,7 @@ sse41Ops()
         sse41::avgRow,
         sse41::copyRow,
         sse41::ssdRow,
+        sse41::viterbiAcs,
     };
     return ops;
 }

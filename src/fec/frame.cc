@@ -111,7 +111,7 @@ struct FrameLayout
 };
 
 FrameLayout
-parseLayout(const std::vector<uint8_t> &framed)
+parseLayout(std::span<const uint8_t> framed)
 {
     FrameLayout lay;
     if (framed.size() < kHeaderSize)
@@ -167,6 +167,68 @@ parseLayout(const std::vector<uint8_t> &framed)
         }
     }
     return lay;
+}
+
+/** Decode buffers, reused from block to block. */
+struct BlockScratch
+{
+    std::vector<uint8_t> wire;  //!< Wire symbols, erasures if cut off.
+    std::vector<uint8_t> deint; //!< The punctured stream, in order.
+    std::vector<uint8_t> full;  //!< Depunctured: two per trellis step.
+    std::vector<uint64_t> decisions;
+    std::vector<uint8_t> bytes; //!< Payload, then the CRC trailer.
+};
+
+/** What decodeBlock() found; the bytes are left in the scratch. */
+struct BlockOutcome
+{
+    bool crcOk = false;
+    uint64_t correctedBits = 0;
+};
+
+/**
+ * Decode block @p b into s.bytes: payload, then the CRC trailer.
+ * Allocates nothing once @p s has grown to the block's size.
+ */
+BlockOutcome
+decodeBlock(std::span<const uint8_t> framed, const FrameLayout &lay,
+            const ViterbiDecoder &dec, const BlockInfo &b,
+            BlockScratch &s)
+{
+    const size_t infoBits = 8 * (static_cast<size_t>(b.payloadBytes) + 4);
+    const size_t steps = dec.steps(infoBits);
+    const size_t syms =
+        blockSymbolCount(b.payloadBytes, lay.code, lay.rate);
+
+    // Wire bytes -> offset-LLR symbols, erasures where cut off.
+    s.wire.assign(syms, kSymErased);
+    const uint8_t *w = framed.data() + b.wireOffset;
+    if (lay.form == WireForm::PackedHard) {
+        const size_t present = std::min(syms, 8 * b.avail);
+        for (size_t i = 0; i < present; ++i)
+            s.wire[i] =
+                (w[i / 8] >> (7 - i % 8)) & 1 ? kSymOne : kSymZero;
+    } else {
+        std::copy(w, w + b.avail, s.wire.begin());
+    }
+    s.deint.resize(syms);
+    deinterleave(s.wire.data(), syms, lay.depth, s.deint.data());
+    s.full.resize(2 * steps);
+    depuncture(s.deint.data(), syms, 2 * steps, lay.rate, kSymErased,
+               s.full.data());
+
+    s.decisions.resize(steps);
+    s.bytes.resize(infoBits / 8);
+    const ViterbiMetrics m = dec.decodeInto(
+        s.full.data(), infoBits,
+        lay.form == WireForm::SoftBytes ? Decision::Soft
+                                        : Decision::Hard,
+        s.decisions.data(), s.bytes.data());
+    BlockOutcome o;
+    o.crcOk = support::crc32(s.bytes.data(), b.payloadBytes) ==
+              getLe32(&s.bytes[b.payloadBytes]);
+    o.correctedBits = m.correctedBits;
+    return o;
 }
 
 } // namespace
@@ -245,7 +307,7 @@ protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
 }
 
 RecoverResult
-recover(const std::vector<uint8_t> &framed)
+recover(std::span<const uint8_t> framed)
 {
     RecoverResult res;
     const FrameLayout lay = parseLayout(framed);
@@ -253,7 +315,7 @@ recover(const std::vector<uint8_t> &framed)
         // Unusable header: hand the bytes through so the tolerant
         // decoder still gets its chance at them.
         res.stats.framingErrors = 1;
-        res.stream = framed;
+        res.stream.assign(framed.begin(), framed.end());
         obs::counter("fec.framing_errors").add(1);
         return res;
     }
@@ -263,10 +325,11 @@ recover(const std::vector<uint8_t> &framed)
     res.stats.framingErrors = lay.missingBlocks;
 
     const ViterbiDecoder dec(lay.code);
-    LookupEncoder reenc(lay.code);
-    const Decision decision = lay.form == WireForm::SoftBytes
-                                  ? Decision::Soft
-                                  : Decision::Hard;
+    // Grows to the largest block, then blocks allocate nothing.  They
+    // decode one after another: on the pool, the scratch in flight
+    // multiplies, and under serve's concurrent sessions that raised
+    // peak RSS by a third (docs/FEC.md).
+    BlockScratch scratch;
     auto vopEntry = [&res](uint16_t vop) -> VopFecCounts & {
         const int v = vop == kNoVop ? -1 : static_cast<int>(vop);
         for (auto &e : res.stats.perVop) {
@@ -286,69 +349,22 @@ recover(const std::vector<uint8_t> &framed)
         VopFecCounts &vc = vopEntry(b.vopIndex);
         ++vc.blocks;
 
-        const size_t infoBits =
-            8 * (static_cast<size_t>(b.payloadBytes) + 4);
-        const size_t codedBits =
-            2 * (infoBits + static_cast<size_t>(lay.code.tailBits()));
-        const size_t syms =
-            blockSymbolCount(b.payloadBytes, lay.code, lay.rate);
-
-        // Wire bytes -> offset-LLR symbols, erasures where cut off.
-        std::vector<uint8_t> symbols(syms, kSymErased);
-        const uint8_t *w = framed.data() + b.wireOffset;
-        if (lay.form == WireForm::PackedHard) {
-            for (size_t i = 0; i < syms; ++i) {
-                if (i / 8 >= b.avail)
-                    break;
-                const int bit = (w[i / 8] >> (7 - i % 8)) & 1;
-                symbols[i] = bit ? kSymOne : kSymZero;
-            }
-        } else {
-            std::copy(w, w + b.avail, symbols.begin());
-        }
-
-        const auto deint = deinterleave(symbols, lay.depth);
-        const auto full = depuncture(deint.data(), deint.size(),
-                                     codedBits, lay.rate, kSymErased);
-        const auto decoded =
-            dec.decode(full.data(), infoBits, decision);
-        const auto bytes = packBits(decoded.bits);
-
-        const uint32_t wantCrc = getLe32(&bytes[b.payloadBytes]);
-        const bool crcOk =
-            support::crc32(bytes.data(), b.payloadBytes) == wantCrc;
-
-        if (crcOk) {
-            // Count the wire bits the decoder overrode: re-encode the
-            // decoded block and diff against the received symbols
-            // (in pre-interleave order; erasures don't count).
-            reenc.reset();
-            std::vector<uint8_t> bits;
-            reenc.encodeBytes(bytes.data(), bytes.size(), bits);
-            reenc.flush(bits);
-            const auto clean = puncture(bits, lay.rate);
-            uint64_t diff = 0;
-            for (size_t i = 0;
-                 i < clean.size() && i < deint.size(); ++i) {
-                if (deint[i] == kSymErased)
-                    continue;
-                if ((deint[i] > kSymErased ? 1 : 0) != clean[i])
-                    ++diff;
-            }
-            res.stats.correctedBits += diff;
-            if (diff > 0) {
-                ++res.stats.blocksCorrected;
-                ++vc.corrected;
-            }
-        } else {
+        const BlockOutcome o = decodeBlock(framed, lay, dec, b, scratch);
+        if (!o.crcOk) {
             ++res.stats.blocksUncorrectable;
             ++vc.uncorrectable;
+        } else if (o.correctedBits > 0) {
+            // The channel bits the decoder overrode, counted along the
+            // survivor path (fec/viterbi.hh).
+            res.stats.correctedBits += o.correctedBits;
+            ++res.stats.blocksCorrected;
+            ++vc.corrected;
         }
 
         // Damaged or not, the decoded bytes go downstream: the
         // tolerant decoder's concealment handles what FEC could not.
-        res.stream.insert(res.stream.end(), bytes.begin(),
-                          bytes.begin() + b.payloadBytes);
+        res.stream.insert(res.stream.end(), scratch.bytes.begin(),
+                          scratch.bytes.begin() + b.payloadBytes);
     }
 
     std::sort(res.stats.perVop.begin(), res.stats.perVop.end(),

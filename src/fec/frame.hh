@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "codec/faultinject.hh"
@@ -121,7 +122,7 @@ std::vector<uint8_t> protect(const std::vector<uint8_t> &stream,
  * unchanged (stats.framingErrors set) so downstream tolerant decoding
  * still gets a look.
  */
-RecoverResult recover(const std::vector<uint8_t> &framed);
+RecoverResult recover(std::span<const uint8_t> framed);
 
 /**
  * Hard channel over a framed stream: FaultSpec bit flips and bursts

@@ -1,5 +1,7 @@
 #include "fec/interleave.hh"
 
+#include <algorithm>
+
 namespace m4ps::fec
 {
 
@@ -40,15 +42,22 @@ interleave(const std::vector<uint8_t> &in, int depth)
     return out;
 }
 
+void
+deinterleave(const uint8_t *in, size_t n, int depth, uint8_t *out)
+{
+    if (depth <= 1 || n <= 1) {
+        std::copy(in, in + n, out);
+        return;
+    }
+    size_t pos = 0;
+    walkColumns(n, depth, [&](size_t idx) { out[idx] = in[pos++]; });
+}
+
 std::vector<uint8_t>
 deinterleave(const std::vector<uint8_t> &in, int depth)
 {
-    if (depth <= 1 || in.size() <= 1)
-        return in;
     std::vector<uint8_t> out(in.size());
-    size_t pos = 0;
-    walkColumns(in.size(), depth,
-                [&](size_t idx) { out[idx] = in[pos++]; });
+    deinterleave(in.data(), in.size(), depth, out.data());
     return out;
 }
 

@@ -36,6 +36,9 @@ std::vector<uint8_t> interleave(const std::vector<uint8_t> &in,
 std::vector<uint8_t> deinterleave(const std::vector<uint8_t> &in,
                                   int depth);
 
+/** deinterleave() of @p n symbols into @p out, which must not alias. */
+void deinterleave(const uint8_t *in, size_t n, int depth, uint8_t *out);
+
 /**
  * Interleaver depth that disperses a burst of @p burst_bytes channel
  * bytes (8 * burst_bytes wire symbols in packed-hard form) into

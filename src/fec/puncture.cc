@@ -1,5 +1,7 @@
 #include "fec/puncture.hh"
 
+#include <algorithm>
+
 namespace m4ps::fec
 {
 
@@ -77,17 +79,30 @@ puncture(const std::vector<uint8_t> &coded, Rate r)
     return out;
 }
 
+void
+depuncture(const uint8_t *kept, size_t n_kept, size_t coded_bits,
+           Rate r, uint8_t erased, uint8_t *out)
+{
+    const PuncturePattern &p = puncturePattern(r);
+    std::fill(out, out + coded_bits, erased);
+    size_t src = 0;
+    for (size_t base = 0; base < coded_bits && src < n_kept;
+         base += p.period) {
+        for (int i = 0; i < p.period && base + i < coded_bits &&
+                        src < n_kept;
+             ++i) {
+            if (p.keep[i])
+                out[base + i] = kept[src++];
+        }
+    }
+}
+
 std::vector<uint8_t>
 depuncture(const uint8_t *kept, size_t n_kept, size_t coded_bits,
            Rate r, uint8_t erased)
 {
-    const PuncturePattern &p = puncturePattern(r);
-    std::vector<uint8_t> out(coded_bits, erased);
-    size_t src = 0;
-    for (size_t i = 0; i < coded_bits && src < n_kept; ++i) {
-        if (p.keep[i % p.period])
-            out[i] = kept[src++];
-    }
+    std::vector<uint8_t> out(coded_bits);
+    depuncture(kept, n_kept, coded_bits, r, erased, out.data());
     return out;
 }
 

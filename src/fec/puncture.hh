@@ -68,6 +68,10 @@ std::vector<uint8_t> depuncture(const uint8_t *kept, size_t n_kept,
                                 size_t coded_bits, Rate r,
                                 uint8_t erased);
 
+/** depuncture() into @p out, which holds @p coded_bits symbols. */
+void depuncture(const uint8_t *kept, size_t n_kept, size_t coded_bits,
+                Rate r, uint8_t erased, uint8_t *out);
+
 } // namespace m4ps::fec
 
 #endif // M4PS_FEC_PUNCTURE_HH

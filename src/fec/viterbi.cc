@@ -1,8 +1,6 @@
 #include "fec/viterbi.hh"
 
-#include <algorithm>
-#include <limits>
-
+#include "codec/kernels/kernels.hh"
 #include "support/logging.hh"
 
 namespace m4ps::fec
@@ -18,117 +16,79 @@ ViterbiDecoder::ViterbiDecoder(const ConvCode &code) : code_(code)
 {
     M4PS_ASSERT(code.valid(), "invalid convolutional code (k=",
                 code.k, ")");
-    const int states = code.numStates();
-    branch_.resize(static_cast<size_t>(states) * 2);
-    for (int s = 0; s < states; ++s) {
-        branch_[s * 2 + 0] = branchBits(code, s, 0);
-        branch_[s * 2 + 1] = branchBits(code, s, 1);
+    // Kernel state s is conv state reverse(s) over k-1 bits, so
+    // butterfly j reads conv states 2 * reverse(j) (over k-2 bits)
+    // and its odd neighbour.
+    const int bits = code.k - 2;
+    for (int j = 0; j < (1 << bits); ++j) {
+        int rev = 0;
+        for (int b = 0; b < bits; ++b)
+            rev |= ((j >> b) & 1) << (bits - 1 - b);
+        butterfly_[j] = branchBits(code, 2 * rev, 0);
     }
 }
 
-namespace
+ViterbiMetrics
+ViterbiDecoder::decodeInto(const uint8_t *symbols, size_t nInfoBits,
+                           Decision decision, uint64_t *decisions,
+                           uint8_t *out) const
 {
+    codec::kernels::AcsArgs acs;
+    acs.k = code_.k;
+    acs.butterfly = butterfly_;
+    acs.symbols = symbols;
+    acs.steps = steps(nInfoBits);
+    acs.soft = decision == Decision::Soft;
+    acs.decisions = decisions;
+    ViterbiMetrics res;
+    res.pathMetric = codec::kernels::active().viterbiAcs(acs);
 
-/** Soft cost of receiving @p r where bit @p e was expected. */
-inline uint32_t
-softCost(int e, uint8_t r)
-{
-    return e ? static_cast<uint32_t>(255 - r)
-             : static_cast<uint32_t>(r);
+    // Traceback from the flushed state 0, in the kernel's numbering:
+    // a state's low bit is its newest input, i.e. the decoded bit,
+    // and the step's decision bit picks the predecessor half.  Along
+    // the way, each step's branch gives the coded pair the encoder
+    // sent if the decoded bits are right.
+    const int top = code_.k - 2;
+    unsigned state = 0;
+    unsigned byte = 0;
+    uint64_t corrected = 0;
+    for (size_t t = acs.steps; t-- > 0;) {
+        const unsigned u = state & 1;
+        const unsigned d =
+            static_cast<unsigned>(decisions[t] >> state) & 1;
+        const unsigned j = state >> 1;
+        const unsigned coded = butterfly_[j] ^ (3 * (d ^ u));
+        for (int i = 0; i < 2; ++i) {
+            const uint8_t r = symbols[2 * t + i];
+            corrected += (r != kSymErased) &
+                         ((r > kSymErased) != ((coded >> i) & 1));
+        }
+        state = j | (d << top);
+        if (t < nInfoBits) {
+            byte |= u << (7 - (t & 7));
+            if ((t & 7) == 0) {
+                out[t >> 3] = static_cast<uint8_t>(byte);
+                byte = 0;
+            }
+        }
+    }
+    res.correctedBits = corrected;
+    return res;
 }
-
-/** Hard cost: quantize to a bit, erasures are free for either. */
-inline uint32_t
-hardCost(int e, uint8_t r)
-{
-    if (r == kSymErased)
-        return 0;
-    return (r > kSymErased ? 1 : 0) != e ? 1u : 0u;
-}
-
-constexpr uint32_t kUnreachable = 1u << 29;
-
-} // namespace
 
 ViterbiResult
 ViterbiDecoder::decode(const uint8_t *symbols, size_t nInfoBits,
                        Decision decision) const
 {
-    const int k = code_.k;
-    const int states = code_.numStates();
-    const int halfMask = (1 << (k - 2)) - 1;
-    const size_t steps = nInfoBits + static_cast<size_t>(
-                                         code_.tailBits());
-
-    // Path metrics, swapped per step; state 0 is the known start.
-    std::vector<uint32_t> cur(static_cast<size_t>(states),
-                              kUnreachable);
-    std::vector<uint32_t> nxt(static_cast<size_t>(states));
-    cur[0] = 0;
-    uint64_t normalized = 0;
-
-    // One decision word per step: bit ns records which predecessor
-    // (by its low bit, the oldest register bit) won state ns.
-    std::vector<uint64_t> decisions(steps, 0);
-
-    for (size_t t = 0; t < steps; ++t) {
-        const uint8_t r0 = symbols[2 * t];
-        const uint8_t r1 = symbols[2 * t + 1];
-
-        // Branch cost per expected pair value (4 possibilities).
-        uint32_t pairCost[4];
-        for (int e = 0; e < 4; ++e) {
-            const int e0 = e & 1, e1 = (e >> 1) & 1;
-            pairCost[e] = decision == Decision::Soft
-                              ? softCost(e0, r0) + softCost(e1, r1)
-                              : hardCost(e0, r0) + hardCost(e1, r1);
-        }
-
-        uint64_t word = 0;
-        for (int ns = 0; ns < states; ++ns) {
-            const int u = ns >> (k - 2);
-            const int base = (ns & halfMask) << 1;
-            const int s0 = base, s1 = base | 1;
-            const uint32_t m0 =
-                cur[s0] + pairCost[branch_[s0 * 2 + u]];
-            const uint32_t m1 =
-                cur[s1] + pairCost[branch_[s1 * 2 + u]];
-            if (m1 < m0) {
-                nxt[ns] = m1;
-                word |= 1ull << ns;
-            } else {
-                nxt[ns] = m0;
-            }
-        }
-        decisions[t] = word;
-        cur.swap(nxt);
-
-        // Keep metrics far from overflow (max step increment 510).
-        if ((t & 0xfff) == 0xfff) {
-            const uint32_t lo =
-                *std::min_element(cur.begin(), cur.end());
-            if (lo > 0) {
-                for (auto &m : cur)
-                    m -= lo;
-                normalized += lo;
-            }
-        }
-    }
-
-    // Traceback from the flushed state 0.  Each state carries its
-    // newest register bit at the top, which *is* the decoded input.
+    std::vector<uint64_t> decisions(steps(nInfoBits));
+    std::vector<uint8_t> bytes((nInfoBits + 7) / 8);
     ViterbiResult res;
-    res.pathMetric = normalized + cur[0];
-    std::vector<uint8_t> all(steps);
-    int state = 0;
-    for (size_t t = steps; t-- > 0;) {
-        all[t] = static_cast<uint8_t>(state >> (k - 2));
-        const int lsb =
-            static_cast<int>((decisions[t] >> state) & 1);
-        state = ((state & halfMask) << 1) | lsb;
-    }
-    all.resize(nInfoBits);
-    res.bits = std::move(all);
+    res.pathMetric = decodeInto(symbols, nInfoBits, decision,
+                                decisions.data(), bytes.data())
+                         .pathMetric;
+    res.bits.resize(nInfoBits);
+    for (size_t i = 0; i < nInfoBits; ++i)
+        res.bits[i] = (bytes[i / 8] >> (7 - i % 8)) & 1;
     return res;
 }
 

@@ -10,6 +10,17 @@
  * whole decision history and traces back once per block, which is
  * exact (no truncated-traceback approximation) and still small.
  *
+ * The add-compare-select is a butterfly kernel behind the
+ * kernel-dispatch layer (KernelOps::viterbiAcs in
+ * codec/kernels/kernels.hh): every valid code taps both the newest
+ * and the oldest register bit, so the four branches of a butterfly
+ * expect one coded pair or its complement, and a step costs one
+ * branch-metric pair per butterfly.  Backends use exact uint16 path
+ * metrics and agree bit for bit.  The traceback packs the decoded
+ * bytes and counts, along the survivor path, the received symbols the
+ * decoder overrode - the same count as re-encoding the decoded bytes
+ * and comparing, without the re-encode.
+ *
  * Symbols use one unsigned byte each in an offset-LLR convention
  * shared by the hard and soft paths:
  *
@@ -58,21 +69,50 @@ struct ViterbiResult
     uint64_t pathMetric = 0;
 };
 
+/** What decodeInto() reports besides the decoded bytes. */
+struct ViterbiMetrics
+{
+    /** Accumulated metric of the surviving path (0 = clean). */
+    uint64_t pathMetric = 0;
+
+    /**
+     * Non-erased symbols whose hard decision (which side of
+     * kSymErased) differs from the coded bit on the surviving path:
+     * the channel bits the decoder overrode.
+     */
+    uint64_t correctedBits = 0;
+};
+
 /**
- * Decoder for one ConvCode.  Construction precomputes the branch
- * table; decode() may be called any number of times.
+ * Decoder for one ConvCode.  Construction precomputes the butterfly
+ * table; decode() and decodeInto() may be called any number of
+ * times, from any number of threads.
  */
 class ViterbiDecoder
 {
   public:
     explicit ViterbiDecoder(const ConvCode &code);
 
+    /** Trellis steps - and decision words - for @p nInfoBits. */
+    size_t steps(size_t nInfoBits) const
+    {
+        return nInfoBits + static_cast<size_t>(code_.tailBits());
+    }
+
     /**
      * Decode @p nInfoBits information bits from @p symbols, which
-     * must hold 2 * (nInfoBits + tailBits()) offset-LLR symbols (the
+     * must hold 2 * steps(nInfoBits) offset-LLR symbols (the
      * depunctured stream, erasures at kSymErased).  The encoder is
      * assumed to have started in and been flushed back to state 0.
+     * Writes (nInfoBits + 7) / 8 bytes to @p out, bits MSB first and
+     * the last byte zero-padded; @p decisions is scratch for
+     * steps(nInfoBits) words.  Allocates nothing.
      */
+    ViterbiMetrics decodeInto(const uint8_t *symbols, size_t nInfoBits,
+                              Decision decision, uint64_t *decisions,
+                              uint8_t *out) const;
+
+    /** decodeInto() with its own buffers, one bit per element. */
     ViterbiResult decode(const uint8_t *symbols, size_t nInfoBits,
                          Decision decision) const;
 
@@ -80,8 +120,11 @@ class ViterbiDecoder
 
   private:
     ConvCode code_;
-    /** branch_[s * 2 + u]: coded bit pair for (state s, input u). */
-    std::vector<uint8_t> branch_;
+    /**
+     * Coded pair per butterfly, in the kernel's bit-reversed state
+     * numbering (codec/kernels/kernels.hh, AcsArgs::butterfly).
+     */
+    uint8_t butterfly_[32] = {};
 };
 
 } // namespace m4ps::fec

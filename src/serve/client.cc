@@ -126,8 +126,7 @@ runClientSession(const std::string &endpoint, const std::string &spec,
                 ++res.packets;
                 if ((h.flags & kFlagFecFramed) != 0) {
                     const fec::RecoverResult rec =
-                        fec::recover(std::vector<uint8_t>(
-                            payload, payload + h.payloadLen));
+                        fec::recover({payload, h.payloadLen});
                     res.stream.insert(res.stream.end(),
                                       rec.stream.begin(),
                                       rec.stream.end());

@@ -12,7 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "codec/decoder.hh"
+#include "codec/kernels/kernels.hh"
 #include "codec/faultinject.hh"
 #include "core/runner.hh"
 #include "core/workload.hh"
@@ -23,11 +29,14 @@
 #include "fec/viterbi.hh"
 #include "support/obs/obs.hh"
 #include "support/random.hh"
+#include "support/serialize.hh"
 
 namespace m4ps::fec
 {
 namespace
 {
+
+namespace kn = codec::kernels;
 
 std::vector<uint8_t>
 randomBytes(size_t n, uint64_t seed)
@@ -250,6 +259,609 @@ TEST(Viterbi, ErasuresDecodeAtEveryRate)
         }
     }
 }
+
+// ------------------------------------------------------------------
+// The butterfly decoder against the decoder it replaced.
+// ------------------------------------------------------------------
+
+/**
+ * The Viterbi decoder before the butterfly kernel, verbatim: 32-bit
+ * metrics, one branchy compare per state, renormalized every 4096
+ * steps.  The reference the dispatched decoder must match bit for
+ * bit, metric included, on every backend.
+ */
+class ReferenceViterbi
+{
+  public:
+    explicit ReferenceViterbi(const ConvCode &code) : code_(code)
+    {
+        const int states = code.numStates();
+        branch_.resize(static_cast<size_t>(states) * 2);
+        for (int s = 0; s < states; ++s) {
+            branch_[s * 2 + 0] = branchBits(code, s, 0);
+            branch_[s * 2 + 1] = branchBits(code, s, 1);
+        }
+    }
+
+    ViterbiResult decode(const uint8_t *symbols, size_t nInfoBits,
+                         Decision decision) const;
+
+  private:
+    static uint32_t softCost(int e, uint8_t r)
+    {
+        return e ? static_cast<uint32_t>(255 - r)
+                 : static_cast<uint32_t>(r);
+    }
+
+    static uint32_t hardCost(int e, uint8_t r)
+    {
+        if (r == kSymErased)
+            return 0;
+        return (r > kSymErased ? 1 : 0) != e ? 1u : 0u;
+    }
+
+    static constexpr uint32_t kUnreachable = 1u << 29;
+
+    ConvCode code_;
+    std::vector<uint8_t> branch_;
+};
+
+ViterbiResult
+ReferenceViterbi::decode(const uint8_t *symbols, size_t nInfoBits,
+                         Decision decision) const
+{
+    const int k = code_.k;
+    const int states = code_.numStates();
+    const int halfMask = (1 << (k - 2)) - 1;
+    const size_t steps = nInfoBits + static_cast<size_t>(
+                                         code_.tailBits());
+
+    // Path metrics, swapped per step; state 0 is the known start.
+    std::vector<uint32_t> cur(static_cast<size_t>(states),
+                              kUnreachable);
+    std::vector<uint32_t> nxt(static_cast<size_t>(states));
+    cur[0] = 0;
+    uint64_t normalized = 0;
+
+    // One decision word per step: bit ns records which predecessor
+    // (by its low bit, the oldest register bit) won state ns.
+    std::vector<uint64_t> decisions(steps, 0);
+
+    for (size_t t = 0; t < steps; ++t) {
+        const uint8_t r0 = symbols[2 * t];
+        const uint8_t r1 = symbols[2 * t + 1];
+
+        // Branch cost per expected pair value (4 possibilities).
+        uint32_t pairCost[4];
+        for (int e = 0; e < 4; ++e) {
+            const int e0 = e & 1, e1 = (e >> 1) & 1;
+            pairCost[e] = decision == Decision::Soft
+                              ? softCost(e0, r0) + softCost(e1, r1)
+                              : hardCost(e0, r0) + hardCost(e1, r1);
+        }
+
+        uint64_t word = 0;
+        for (int ns = 0; ns < states; ++ns) {
+            const int u = ns >> (k - 2);
+            const int base = (ns & halfMask) << 1;
+            const int s0 = base, s1 = base | 1;
+            const uint32_t m0 =
+                cur[s0] + pairCost[branch_[s0 * 2 + u]];
+            const uint32_t m1 =
+                cur[s1] + pairCost[branch_[s1 * 2 + u]];
+            if (m1 < m0) {
+                nxt[ns] = m1;
+                word |= 1ull << ns;
+            } else {
+                nxt[ns] = m0;
+            }
+        }
+        decisions[t] = word;
+        cur.swap(nxt);
+
+        // Keep metrics far from overflow (max step increment 510).
+        if ((t & 0xfff) == 0xfff) {
+            const uint32_t lo =
+                *std::min_element(cur.begin(), cur.end());
+            if (lo > 0) {
+                for (auto &m : cur)
+                    m -= lo;
+                normalized += lo;
+            }
+        }
+    }
+
+    // Traceback from the flushed state 0.  Each state carries its
+    // newest register bit at the top, which *is* the decoded input.
+    ViterbiResult res;
+    res.pathMetric = normalized + cur[0];
+    std::vector<uint8_t> all(steps);
+    int state = 0;
+    for (size_t t = steps; t-- > 0;) {
+        all[t] = static_cast<uint8_t>(state >> (k - 2));
+        const int lsb =
+            static_cast<int>((decisions[t] >> state) & 1);
+        state = ((state & halfMask) << 1) | lsb;
+    }
+    all.resize(nInfoBits);
+    res.bits = std::move(all);
+    return res;
+}
+
+/** Every backend this binary has and this host runs. */
+std::vector<kn::Isa>
+runnableBackends()
+{
+    std::vector<kn::Isa> out;
+    for (kn::Isa isa : kn::compiledIsas()) {
+        if (kn::hostSupports(isa))
+            out.push_back(isa);
+    }
+    return out;
+}
+
+/** Restores the active kernel backend when a test returns. */
+class RestoreKernels
+{
+  public:
+    RestoreKernels() : prev_(kn::activeIsa()) {}
+    ~RestoreKernels() { kn::select(kn::isaName(prev_)); }
+
+  private:
+    kn::Isa prev_;
+};
+
+/** Received symbols for a Viterbi property case. */
+enum class Channel
+{
+    Awgn,          //!< Soft symbols at an Es/N0.
+    AwgnErasures,  //!< The same, with runs of erasures.
+    Exact128,      //!< AWGN with scattered symbols exactly at 128.
+    AllErased,     //!< Every symbol 128: every comparison ties.
+    Alternating,   //!< 0, 255, 0, 255, ...: maximum metric spread.
+    RandomExtreme, //!< Independent 0/255 symbols.
+};
+
+std::vector<uint8_t>
+channelSymbols(const std::vector<uint8_t> &coded, Channel ch,
+               double esN0Db, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> syms(coded.size());
+    const double sigma =
+        1.0 / std::sqrt(2.0 * std::pow(10.0, esN0Db / 10.0));
+    for (size_t i = 0; i < coded.size(); ++i) {
+        switch (ch) {
+          case Channel::AllErased:
+            syms[i] = kSymErased;
+            break;
+          case Channel::Alternating:
+            syms[i] = i % 2 ? kSymOne : kSymZero;
+            break;
+          case Channel::RandomExtreme:
+            syms[i] = rng.next() & 1 ? kSymOne : kSymZero;
+            break;
+          default: {
+            const double y =
+                (coded[i] ? 1.0 : -1.0) + sigma * rng.gaussian();
+            const long v = 128 + std::lround(64.0 * y);
+            syms[i] = static_cast<uint8_t>(std::clamp(v, 0l, 255l));
+          }
+        }
+    }
+    if (ch == Channel::AwgnErasures) {
+        for (size_t run = 0; run < coded.size() / 40 + 1; ++run) {
+            const size_t at = static_cast<size_t>(
+                rng.uniformInt(0, static_cast<int64_t>(coded.size())));
+            const size_t len =
+                static_cast<size_t>(rng.uniformInt(1, 24));
+            for (size_t i = at; i < std::min(coded.size(), at + len);
+                 ++i)
+                syms[i] = kSymErased;
+        }
+    }
+    if (ch == Channel::Exact128) {
+        for (size_t i = 0; i < coded.size(); i += 1 + rng.next() % 7)
+            syms[i] = kSymErased;
+    }
+    return syms;
+}
+
+/** Coded bits (0/1) of @p n random information bits plus the tail. */
+std::vector<uint8_t>
+randomCodeword(const ConvCode &code, size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    ShiftRegisterEncoder enc(code);
+    std::vector<uint8_t> coded;
+    for (size_t i = 0; i < n; ++i)
+        enc.encodeBit(static_cast<int>(rng.next() & 1), coded);
+    enc.flush(coded);
+    return coded;
+}
+
+/**
+ * Decodes @p syms on every runnable backend and checks bits and path
+ * metric against the reference, and the corrected-bit count against
+ * re-encoding the decoded bits and comparing hard decisions.
+ */
+void
+expectMatchesReference(const ConvCode &code,
+                       const std::vector<uint8_t> &syms, size_t n,
+                       Decision d, const std::string &what)
+{
+    const ViterbiResult want =
+        ReferenceViterbi(code).decode(syms.data(), n, d);
+
+    ShiftRegisterEncoder reenc(code);
+    std::vector<uint8_t> clean;
+    reenc.encodeBits(want.bits.data(), want.bits.size(), clean);
+    reenc.flush(clean);
+    uint64_t wantCorrected = 0;
+    for (size_t i = 0; i < clean.size(); ++i) {
+        if (syms[i] != kSymErased &&
+            (syms[i] > kSymErased ? 1 : 0) != clean[i])
+            ++wantCorrected;
+    }
+
+    const ViterbiDecoder dec(code);
+    std::vector<uint64_t> decisions(dec.steps(n));
+    std::vector<uint8_t> bytes((n + 7) / 8);
+    for (kn::Isa isa : runnableBackends()) {
+        ASSERT_EQ(kn::select(kn::isaName(isa)), isa);
+        const std::string where = what + " " + decisionName(d) + " on " +
+                                  kn::isaName(isa);
+        const ViterbiResult got = dec.decode(syms.data(), n, d);
+        ASSERT_EQ(got.bits, want.bits) << where;
+        ASSERT_EQ(got.pathMetric, want.pathMetric) << where;
+        const ViterbiMetrics m = dec.decodeInto(
+            syms.data(), n, d, decisions.data(), bytes.data());
+        ASSERT_EQ(m.pathMetric, want.pathMetric) << where;
+        ASSERT_EQ(m.correctedBits, wantCorrected) << where;
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ((bytes[i / 8] >> (7 - i % 8)) & 1, want.bits[i])
+                << where << " packed bit " << i;
+        if (n % 8 != 0) {
+            ASSERT_EQ(bytes.back() & (0xff >> (n % 8)), 0) << where;
+        }
+    }
+}
+
+TEST(Viterbi, MatchesReferenceForEveryValidCode)
+{
+    RestoreKernels restore;
+    uint64_t seed = 1;
+    int codes = 0;
+    for (int k = 3; k <= 7; ++k) {
+        for (int g1 = 1; g1 < (1 << k); ++g1) {
+            for (int g2 = 1; g2 < (1 << k); ++g2) {
+                const ConvCode code(k, static_cast<uint8_t>(g1),
+                                    static_cast<uint8_t>(g2));
+                if (!code.valid())
+                    continue;
+                ++codes;
+                const size_t n = static_cast<size_t>(seed * 37 % 97);
+                const auto coded = randomCodeword(code, n, seed);
+                const double db = -2.0 + static_cast<double>(seed % 13);
+                const auto syms = channelSymbols(
+                    coded,
+                    seed % 3 == 0 ? Channel::AwgnErasures : Channel::Awgn,
+                    db, seed + 1000);
+                const std::string what = "k=" + std::to_string(k) +
+                                         " g1=" + std::to_string(g1) +
+                                         " g2=" + std::to_string(g2);
+                for (Decision d : {Decision::Hard, Decision::Soft})
+                    expectMatchesReference(code, syms, n, d, what);
+                ++seed;
+            }
+        }
+    }
+    EXPECT_EQ(codes, 2 + 12 + 56 + 240 + 992);
+}
+
+TEST(Viterbi, MatchesReferenceAcrossChannelsAndLengths)
+{
+    RestoreKernels restore;
+    const ConvCode codes[] = {ConvCode(), ConvCode(3, 07, 05),
+                              ConvCode(5, 023, 035)};
+    const Channel channels[] = {
+        Channel::Awgn,      Channel::AwgnErasures,
+        Channel::Exact128,  Channel::AllErased,
+        Channel::Alternating, Channel::RandomExtreme};
+    // Both sides of the kernels' 32-step renormalization and of the
+    // reference's 4096-step one, twice over.
+    const size_t lengths[] = {0,    1,    2,    25,   26,   27,
+                              57,   58,   64,   4089, 4090, 4091,
+                              4096, 8185, 8186, 8187, 8192, 8500};
+    uint64_t seed = 7;
+    for (const ConvCode &code : codes) {
+        for (size_t n : lengths) {
+            for (Channel ch : channels) {
+                const double db = -2.0 + static_cast<double>(seed % 13);
+                const auto syms = channelSymbols(
+                    randomCodeword(code, n, seed), ch, db, seed + 1);
+                const std::string what =
+                    "k=" + std::to_string(code.k) +
+                    " n=" + std::to_string(n) + " channel " +
+                    std::to_string(static_cast<int>(ch)) + " at " +
+                    std::to_string(db) + " dB";
+                for (Decision d : {Decision::Hard, Decision::Soft})
+                    expectMatchesReference(code, syms, n, d, what);
+                ++seed;
+            }
+        }
+    }
+}
+
+TEST(Viterbi, MatchesReferenceOnALongBlock)
+{
+    RestoreKernels restore;
+    const ConvCode code;
+    const size_t n = 100000;
+    const auto syms = channelSymbols(randomCodeword(code, n, 99),
+                                     Channel::Awgn, 1.0, 100);
+    for (Decision d : {Decision::Hard, Decision::Soft})
+        expectMatchesReference(code, syms, n, d, "100k steps");
+}
+
+/**
+ * recover() before blocks went to the pool, verbatim but for its obs
+ * counters: serial blocks, ReferenceViterbi, and corrected bits
+ * counted by re-encoding each good block and diffing it against the
+ * received symbols.
+ */
+namespace reference
+{
+
+constexpr size_t kMaxErasurePadBytes = 4096;
+
+// Upper bounds a frame header may claim; anything beyond is damage.
+constexpr uint32_t kMaxPayloadBytes = 1u << 24;
+constexpr uint32_t kMaxBlockCount = 1u << 20;
+
+inline uint16_t
+getLe16(const uint8_t *p)
+{
+    return static_cast<uint16_t>(p[0] | (p[1] << 8));
+}
+
+inline uint32_t
+getLe32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           (static_cast<uint32_t>(p[1]) << 8) |
+           (static_cast<uint32_t>(p[2]) << 16) |
+           (static_cast<uint32_t>(p[3]) << 24);
+}
+
+/** Bits (values 0/1, MSB first) to bytes; n must be a multiple of 8. */
+std::vector<uint8_t>
+packBits(const std::vector<uint8_t> &bits)
+{
+    std::vector<uint8_t> out(bits.size() / 8, 0);
+    for (size_t i = 0; i < out.size() * 8; ++i)
+        out[i / 8] = static_cast<uint8_t>(
+            (out[i / 8] << 1) | (bits[i] & 1));
+    return out;
+}
+
+/** Coded-symbol count on the wire for one block's payload. */
+size_t
+blockSymbolCount(uint32_t payload_bytes, const ConvCode &code,
+                 Rate rate)
+{
+    const size_t infoBits = 8 * (static_cast<size_t>(payload_bytes) +
+                                 4 /* CRC trailer */);
+    const size_t codedBits =
+        2 * (infoBits + static_cast<size_t>(code.tailBits()));
+    return puncturedSize(codedBits, rate);
+}
+
+size_t
+blockWireBytes(size_t sym_count, WireForm form)
+{
+    return form == WireForm::PackedHard ? (sym_count + 7) / 8
+                                        : sym_count;
+}
+
+struct BlockInfo
+{
+    uint8_t sectionCode = 0;
+    uint16_t vopIndex = kNoVop;
+    uint32_t payloadBytes = 0;
+    size_t wireOffset = 0; //!< Start of the wire symbols.
+    size_t wireBytes = 0;  //!< Nominal size on an intact wire.
+    size_t avail = 0;      //!< Bytes actually present in the stream.
+};
+
+/** Everything the header + block walk yields; total, never throws. */
+struct FrameLayout
+{
+    bool headerOk = false;
+    WireForm form = WireForm::PackedHard;
+    Rate rate = Rate::R1_2;
+    ConvCode code{};
+    int depth = 1;
+    uint32_t cleartextLen = 0;
+    uint32_t blockCount = 0;
+    size_t missingBlocks = 0; //!< Declared but cut off entirely.
+    std::vector<BlockInfo> blocks;
+};
+
+FrameLayout
+parseLayout(const std::vector<uint8_t> &framed)
+{
+    FrameLayout lay;
+    if (framed.size() < kHeaderSize)
+        return lay;
+    const uint8_t *p = framed.data();
+    if (!std::equal(kMagic, kMagic + 4, p) || p[4] != kVersion)
+        return lay;
+    if (support::crc32(p, kOffHeaderCrc) != getLe32(p + kOffHeaderCrc))
+        return lay;
+    if (p[kOffWireForm] > 1 || p[kOffRate] >= kNumRates)
+        return lay;
+    lay.form = static_cast<WireForm>(p[kOffWireForm]);
+    lay.rate = static_cast<Rate>(p[kOffRate]);
+    lay.code = ConvCode(p[7], p[8], p[9]);
+    if (!lay.code.valid())
+        return lay;
+    lay.depth = getLe16(p + 10);
+    lay.cleartextLen = getLe32(p + 12);
+    lay.blockCount = getLe32(p + 16);
+    if (lay.cleartextLen > framed.size() - kHeaderSize ||
+        lay.blockCount > kMaxBlockCount) {
+        return lay;
+    }
+    lay.headerOk = true;
+
+    size_t pos = kHeaderSize + lay.cleartextLen;
+    for (uint32_t i = 0; i < lay.blockCount; ++i) {
+        if (pos + kBlockHeaderSize > framed.size()) {
+            lay.missingBlocks = lay.blockCount - i;
+            break;
+        }
+        BlockInfo b;
+        b.sectionCode = framed[pos];
+        b.vopIndex = getLe16(&framed[pos + 1]);
+        b.payloadBytes = getLe32(&framed[pos + 3]);
+        if (b.payloadBytes > kMaxPayloadBytes) {
+            lay.missingBlocks = lay.blockCount - i;
+            break;
+        }
+        const size_t syms =
+            blockSymbolCount(b.payloadBytes, lay.code, lay.rate);
+        b.wireBytes = blockWireBytes(syms, lay.form);
+        b.wireOffset = pos + kBlockHeaderSize;
+        b.avail = std::min(b.wireBytes,
+                           framed.size() - b.wireOffset);
+        lay.blocks.push_back(b);
+        pos = b.wireOffset + b.avail;
+        if (b.avail < b.wireBytes) {
+            // The stream ends inside this block; everything after is
+            // gone too.
+            lay.missingBlocks = lay.blockCount - i - 1;
+            break;
+        }
+    }
+    return lay;
+}
+
+RecoverResult
+recover(const std::vector<uint8_t> &framed)
+{
+    RecoverResult res;
+    const FrameLayout lay = parseLayout(framed);
+    if (!lay.headerOk) {
+        // Unusable header: hand the bytes through so the tolerant
+        // decoder still gets its chance at them.
+        res.stats.framingErrors = 1;
+        res.stream = framed;
+        return res;
+    }
+
+    res.stream.assign(framed.begin() + kHeaderSize,
+                      framed.begin() + kHeaderSize + lay.cleartextLen);
+    res.stats.framingErrors = lay.missingBlocks;
+
+    const ReferenceViterbi dec(lay.code);
+    LookupEncoder reenc(lay.code);
+    const Decision decision = lay.form == WireForm::SoftBytes
+                                  ? Decision::Soft
+                                  : Decision::Hard;
+    auto vopEntry = [&res](uint16_t vop) -> VopFecCounts & {
+        const int v = vop == kNoVop ? -1 : static_cast<int>(vop);
+        for (auto &e : res.stats.perVop) {
+            if (e.vop == v)
+                return e;
+        }
+        res.stats.perVop.push_back(VopFecCounts{v, 0, 0, 0});
+        return res.stats.perVop.back();
+    };
+
+    for (const BlockInfo &b : lay.blocks) {
+        if (b.wireBytes - b.avail > kMaxErasurePadBytes) {
+            ++res.stats.framingErrors;
+            continue;
+        }
+        ++res.stats.blocks;
+        VopFecCounts &vc = vopEntry(b.vopIndex);
+        ++vc.blocks;
+
+        const size_t infoBits =
+            8 * (static_cast<size_t>(b.payloadBytes) + 4);
+        const size_t codedBits =
+            2 * (infoBits + static_cast<size_t>(lay.code.tailBits()));
+        const size_t syms =
+            blockSymbolCount(b.payloadBytes, lay.code, lay.rate);
+
+        // Wire bytes -> offset-LLR symbols, erasures where cut off.
+        std::vector<uint8_t> symbols(syms, kSymErased);
+        const uint8_t *w = framed.data() + b.wireOffset;
+        if (lay.form == WireForm::PackedHard) {
+            for (size_t i = 0; i < syms; ++i) {
+                if (i / 8 >= b.avail)
+                    break;
+                const int bit = (w[i / 8] >> (7 - i % 8)) & 1;
+                symbols[i] = bit ? kSymOne : kSymZero;
+            }
+        } else {
+            std::copy(w, w + b.avail, symbols.begin());
+        }
+
+        const auto deint = deinterleave(symbols, lay.depth);
+        const auto full = depuncture(deint.data(), deint.size(),
+                                     codedBits, lay.rate, kSymErased);
+        const auto decoded =
+            dec.decode(full.data(), infoBits, decision);
+        const auto bytes = packBits(decoded.bits);
+
+        const uint32_t wantCrc = getLe32(&bytes[b.payloadBytes]);
+        const bool crcOk =
+            support::crc32(bytes.data(), b.payloadBytes) == wantCrc;
+
+        if (crcOk) {
+            // Count the wire bits the decoder overrode: re-encode the
+            // decoded block and diff against the received symbols
+            // (in pre-interleave order; erasures don't count).
+            reenc.reset();
+            std::vector<uint8_t> bits;
+            reenc.encodeBytes(bytes.data(), bytes.size(), bits);
+            reenc.flush(bits);
+            const auto clean = puncture(bits, lay.rate);
+            uint64_t diff = 0;
+            for (size_t i = 0;
+                 i < clean.size() && i < deint.size(); ++i) {
+                if (deint[i] == kSymErased)
+                    continue;
+                if ((deint[i] > kSymErased ? 1 : 0) != clean[i])
+                    ++diff;
+            }
+            res.stats.correctedBits += diff;
+            if (diff > 0) {
+                ++res.stats.blocksCorrected;
+                ++vc.corrected;
+            }
+        } else {
+            ++res.stats.blocksUncorrectable;
+            ++vc.uncorrectable;
+        }
+
+        // Damaged or not, the decoded bytes go downstream: the
+        // tolerant decoder's concealment handles what FEC could not.
+        res.stream.insert(res.stream.end(), bytes.begin(),
+                          bytes.begin() + b.payloadBytes);
+    }
+
+    std::sort(res.stats.perVop.begin(), res.stats.perVop.end(),
+              [](const VopFecCounts &a, const VopFecCounts &b) {
+                  return a.vop < b.vop;
+              });
+
+    return res;
+}
+
+} // namespace reference
 
 // ------------------------------------------------------------------
 // Puncturing and interleaving.
@@ -564,6 +1176,99 @@ TEST(FecFrame, DamagedFramingNeverThrows)
         if (seed % 2 == 0 && junk.size() >= 4)
             std::copy(kMagic, kMagic + 4, junk.begin());
         (void)recover(junk);
+    }
+}
+
+/** The stream and every FecStats field of two recoveries agree. */
+void
+expectSameRecovery(const RecoverResult &got, const RecoverResult &want,
+                   const std::string &what)
+{
+    EXPECT_EQ(got.stream, want.stream) << what;
+    EXPECT_EQ(got.stats.blocks, want.stats.blocks) << what;
+    EXPECT_EQ(got.stats.blocksCorrected, want.stats.blocksCorrected)
+        << what;
+    EXPECT_EQ(got.stats.blocksUncorrectable,
+              want.stats.blocksUncorrectable)
+        << what;
+    EXPECT_EQ(got.stats.framingErrors, want.stats.framingErrors) << what;
+    EXPECT_EQ(got.stats.correctedBits, want.stats.correctedBits) << what;
+    ASSERT_EQ(got.stats.perVop.size(), want.stats.perVop.size()) << what;
+    for (size_t i = 0; i < want.stats.perVop.size(); ++i) {
+        const VopFecCounts &g = got.stats.perVop[i];
+        const VopFecCounts &w = want.stats.perVop[i];
+        EXPECT_EQ(g.vop, w.vop) << what << " perVop " << i;
+        EXPECT_EQ(g.blocks, w.blocks) << what << " perVop " << i;
+        EXPECT_EQ(g.corrected, w.corrected) << what << " perVop " << i;
+        EXPECT_EQ(g.uncorrectable, w.uncorrectable)
+            << what << " perVop " << i;
+    }
+}
+
+/** @p framed with block @p i's declared payload size set to @p bytes. */
+std::vector<uint8_t>
+withPayloadSize(std::vector<uint8_t> framed, size_t i, uint32_t bytes)
+{
+    const auto lay = reference::parseLayout(framed);
+    const size_t at = lay.blocks.at(i).wireOffset - kBlockHeaderSize + 3;
+    for (int b = 0; b < 4; ++b)
+        framed[at + b] = static_cast<uint8_t>(bytes >> (8 * b));
+    return framed;
+}
+
+TEST(FecFrame, RecoverMatchesReference)
+{
+    // Reused scratch, the butterfly decoder and corrected bits counted
+    // along the survivor path: the stream and every statistic must
+    // equal the old recover() at every rate, depth and kind of damage.
+    const auto stream =
+        core::ExperimentRunner::encodeUntraced(resyncWorkload(3));
+    uint64_t seed = 1;
+    for (Decision d : {Decision::Hard, Decision::Soft}) {
+        for (Rate r : {Rate::R1_2, Rate::R2_3, Rate::R3_4}) {
+            for (int depth : {1, 16, 128}) {
+                FecConfig cfg;
+                cfg.decision = d;
+                cfg.rate = r;
+                cfg.interleaveDepth = depth;
+                const auto framed = protect(stream, cfg);
+                const size_t nBlocks =
+                    reference::parseLayout(framed).blocks.size();
+                ASSERT_GT(nBlocks, 3u);
+
+                std::vector<std::vector<uint8_t>> inputs;
+                // A channel the code corrects, and one beyond it.
+                for (bool harsh : {false, true}) {
+                    ChannelSpec ch;
+                    ch.faults.seed = seed++;
+                    if (d == Decision::Soft) {
+                        ch.esN0Db = harsh ? 0.5 : 4.0;
+                    } else {
+                        ch.faults.ber = harsh ? 0.03 : 2e-3;
+                        ch.faults.bursts = 1;
+                    }
+                    inputs.push_back(transmit(framed, ch, &cfg));
+                }
+                const std::vector<uint8_t> noisy = inputs[0];
+                // Cut inside the last block, and with blocks gone.
+                inputs.emplace_back(noisy.begin(), noisy.end() - 37);
+                inputs.emplace_back(noisy.begin(),
+                                    noisy.begin() + noisy.size() * 2 / 3);
+                // A block size that misaligns every block after it,
+                // and one whose wire is cut off past the erasure pad.
+                inputs.push_back(withPayloadSize(noisy, 1, 50));
+                inputs.push_back(
+                    withPayloadSize(noisy, nBlocks - 1, 100000));
+
+                for (size_t in = 0; in < inputs.size(); ++in) {
+                    expectSameRecovery(
+                        recover(inputs[in]), reference::recover(inputs[in]),
+                        std::string(decisionName(d)) + " " + rateName(r) +
+                            " depth " + std::to_string(depth) +
+                            " input " + std::to_string(in));
+                }
+            }
+        }
     }
 }
 

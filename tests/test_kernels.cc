@@ -360,6 +360,62 @@ TEST_P(KernelEquivalence, QuantAndDequantSweep)
     }
 }
 
+TEST_P(KernelEquivalence, ViterbiAcs)
+{
+    // Decision words and the final metric of state 0, for every
+    // constraint length (SIMD backends hand k < 7 to scalar), both
+    // cost modes, pseudo-random butterfly tables and symbol streams
+    // from uniform noise to all-tie erasures and maximum spread, and
+    // lengths on both sides of the 32-step renormalization.
+    const kn::KernelOps &s = simd();
+    const kn::KernelOps &r = ref();
+    std::mt19937 rng(0x7173);
+    for (int trial = 0; trial < 600; ++trial) {
+        const int k = 3 + trial % 5;
+        uint8_t butterfly[32];
+        for (int j = 0; j < (1 << (k - 2)); ++j)
+            butterfly[j] = static_cast<uint8_t>(rng() & 3);
+        const size_t steps =
+            trial % 60 == 0 ? 6000 : 1 + static_cast<size_t>(rng() % 300);
+        std::vector<uint8_t> syms(2 * steps);
+        for (size_t i = 0; i < syms.size(); ++i) {
+            switch (trial % 4) {
+            case 0: // uniform offset-LLR noise
+                syms[i] = static_cast<uint8_t>(rng());
+                break;
+            case 1: // confident, disagreeing symbol pairs
+                syms[i] = i % 2 ? 255 : 0;
+                break;
+            case 2: // hard values and erasures
+                syms[i] = static_cast<uint8_t>(
+                    (rng() % 3) * 127 + (rng() % 3 == 2 ? 1 : 0));
+                break;
+            default: // all erased: every comparison ties
+                syms[i] = 128;
+            }
+        }
+        for (bool soft : {false, true}) {
+            std::vector<uint64_t> want(steps), got(steps);
+            kn::AcsArgs a;
+            a.k = k;
+            a.butterfly = butterfly;
+            a.symbols = syms.data();
+            a.steps = steps;
+            a.soft = soft;
+            a.decisions = want.data();
+            const uint64_t wantMetric = r.viterbiAcs(a);
+            a.decisions = got.data();
+            const uint64_t gotMetric = s.viterbiAcs(a);
+            ASSERT_EQ(wantMetric, gotMetric)
+                << "k=" << k << " steps=" << steps << " soft=" << soft
+                << " trial " << trial;
+            ASSERT_EQ(want, got)
+                << "k=" << k << " steps=" << steps << " soft=" << soft
+                << " trial " << trial;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, KernelEquivalence, ::testing::ValuesIn(simdBackends()),
     [](const ::testing::TestParamInfo<kn::Isa> &info) {
