@@ -44,8 +44,6 @@ runClientSession(const std::string &endpoint, const std::string &spec,
     }
     res.connected = true;
 
-    sleepMs(behavior.requestDelayMs);
-
     if (!behavior.omitRequest) {
         std::vector<uint8_t> wire;
         if (behavior.malformedRequest) {

@@ -48,9 +48,6 @@ struct ClientBehavior
     /** Send nothing at all (drills the idle timeout). */
     bool omitRequest = false;
 
-    /** Wait this long before sending the request. */
-    int64_t requestDelayMs = 0;
-
     /** Slow-loris: read at most this many bytes per interval. */
     size_t readChunkBytes = 0; //!< 0 = read freely.
     int64_t readIntervalMs = 0;

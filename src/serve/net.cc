@@ -2,10 +2,11 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
+#include <string_view>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,35 +17,79 @@ namespace m4ps::serve
 namespace
 {
 
-constexpr const char *kUnixPrefix = "unix:";
-constexpr const char *kTcpPrefix = "tcp:";
+constexpr std::string_view kUnixPrefix = "unix:";
+constexpr std::string_view kTcpPrefix = "tcp:";
 
-bool
-startsWith(const std::string &s, const char *prefix)
+/** An endpoint string resolved to the socket address it names. */
+struct Resolved
 {
-    return s.rfind(prefix, 0) == 0;
-}
+    int family = AF_UNSPEC; //!< AF_UNSPEC when error is set.
+    union
+    {
+        sockaddr_un un;
+        sockaddr_in in;
+    } addr{};
+    socklen_t len = 0;
+    std::string error; //!< Why the endpoint is unusable.
 
-/** Split "tcp:HOST:PORT" / "tcp:PORT" into host + port. */
-bool
-parseTcp(const std::string &endpoint, std::string *host, int *port)
-{
-    std::string rest = endpoint.substr(std::strlen(kTcpPrefix));
-    const size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) {
-        *host = "127.0.0.1";
-    } else {
-        *host = rest.substr(0, colon);
-        rest = rest.substr(colon + 1);
+    const sockaddr *sa() const
+    {
+        return reinterpret_cast<const sockaddr *>(&addr);
     }
-    if (rest.empty())
-        return false;
+};
+
+/**
+ * Parse "unix:PATH", "tcp:PORT" or "tcp:HOST:PORT" (HOST a dotted
+ * IPv4 address, 127.0.0.1 when absent).  Allocates only on failure.
+ */
+Resolved
+resolve(const std::string &endpoint)
+{
+    Resolved r;
+    auto fail = [&r, &endpoint](const char *why) {
+        r.error = std::string(why) + ": " + endpoint;
+        return r;
+    };
+    const std::string_view ep = endpoint;
+    if (ep.starts_with(kUnixPrefix)) {
+        const std::string_view path = ep.substr(kUnixPrefix.size());
+        sockaddr_un &un = r.addr.un;
+        if (path.size() + 1 > sizeof(un.sun_path))
+            return fail("unix socket path too long");
+        un.sun_family = AF_UNIX;
+        path.copy(un.sun_path, path.size()); // NUL from zero-init
+        r.family = AF_UNIX;
+        r.len = sizeof(un);
+        return r;
+    }
+    if (!ep.starts_with(kTcpPrefix))
+        return fail("endpoint must start with unix: or tcp:");
+    std::string_view host = "127.0.0.1";
+    size_t portAt = kTcpPrefix.size();
+    const size_t colon = ep.rfind(':');
+    if (colon >= portAt) {
+        host = ep.substr(portAt, colon - portAt);
+        portAt = colon + 1;
+    }
+    if (portAt == ep.size())
+        return fail("bad tcp endpoint");
     char *end = nullptr;
-    const long p = std::strtol(rest.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || p < 0 || p > 65535)
-        return false;
-    *port = static_cast<int>(p);
-    return true;
+    const long port = std::strtol(endpoint.c_str() + portAt, &end, 10);
+    if (*end != '\0' || port < 0 || port > 65535)
+        return fail("bad tcp endpoint");
+    char hostText[INET_ADDRSTRLEN] = {};
+    if (host.size() >= sizeof(hostText))
+        return fail("bad tcp host");
+    host.copy(hostText, host.size());
+    sockaddr_in in{};
+    if (::inet_pton(AF_INET, hostText, &in.sin_addr) != 1)
+        return fail("bad tcp host");
+    in.sin_family = AF_INET;
+    in.sin_port = htons(static_cast<uint16_t>(port));
+    r.addr.in = in;
+    r.family = AF_INET;
+    r.len = sizeof(in);
+    return r;
 }
 
 } // namespace
@@ -52,63 +97,40 @@ parseTcp(const std::string &endpoint, std::string *host, int *port)
 int
 listenOn(const std::string &endpoint, int backlog)
 {
-    if (startsWith(endpoint, kUnixPrefix)) {
-        const std::string path =
-            endpoint.substr(std::strlen(kUnixPrefix));
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() + 1 > sizeof(addr.sun_path))
-            throw NetError("unix socket path too long: " + path);
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            throw NetError(std::string("socket: ") +
-                           std::strerror(errno));
-        ::unlink(path.c_str()); // stale socket from a prior run
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, backlog) != 0) {
-            const int e = errno;
-            ::close(fd);
-            throw NetError("bind/listen " + endpoint + ": " +
-                           std::strerror(e));
-        }
-        return fd;
-    }
-    if (startsWith(endpoint, kTcpPrefix)) {
-        std::string host;
-        int port = 0;
-        if (!parseTcp(endpoint, &host, &port))
-            throw NetError("bad tcp endpoint: " + endpoint);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(port));
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-            throw NetError("bad tcp host: " + host);
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            throw NetError(std::string("socket: ") +
-                           std::strerror(errno));
+    const Resolved r = resolve(endpoint);
+    if (!r.error.empty())
+        throw NetError(r.error);
+    const int fd = ::socket(r.family, SOCK_STREAM, 0);
+    if (fd < 0)
+        throw NetError(std::string("socket: ") + std::strerror(errno));
+    if (r.family == AF_UNIX) {
+        ::unlink(r.addr.un.sun_path); // stale socket from a prior run
+    } else {
         const int one = 1;
         ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, backlog) != 0) {
-            const int e = errno;
-            ::close(fd);
-            throw NetError("bind/listen " + endpoint + ": " +
-                           std::strerror(e));
-        }
-        return fd;
     }
-    throw NetError("endpoint must start with unix: or tcp: - got " +
-                   endpoint);
+    if (::bind(fd, r.sa(), r.len) != 0 || ::listen(fd, backlog) != 0) {
+        const int e = errno;
+        ::close(fd);
+        throw NetError("bind/listen " + endpoint + ": " +
+                       std::strerror(e));
+    }
+    return fd;
+}
+
+void
+closeListener(int listenFd, const std::string &endpoint)
+{
+    shutdownAndClose(listenFd);
+    const Resolved r = resolve(endpoint);
+    if (r.family == AF_UNIX)
+        ::unlink(r.addr.un.sun_path);
 }
 
 std::string
 boundEndpoint(int listenFd, const std::string &requested)
 {
-    if (!startsWith(requested, kTcpPrefix))
+    if (!requested.starts_with(kTcpPrefix))
         return requested;
     sockaddr_in addr{};
     socklen_t len = sizeof(addr);
@@ -130,54 +152,21 @@ connectTo(const std::string &endpoint, std::string *err,
             *err = what;
         return -1;
     };
-    auto capRcvbuf = [rcvbufBytes](int fd) {
-        if (rcvbufBytes > 0)
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbufBytes,
-                         sizeof(rcvbufBytes));
-    };
-    if (startsWith(endpoint, kUnixPrefix)) {
-        const std::string path =
-            endpoint.substr(std::strlen(kUnixPrefix));
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() + 1 > sizeof(addr.sun_path))
-            return fail("unix socket path too long");
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return fail(std::strerror(errno));
-        capRcvbuf(fd);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            const int e = errno;
-            ::close(fd);
-            return fail(std::strerror(e));
-        }
-        return fd;
+    const Resolved r = resolve(endpoint);
+    if (!r.error.empty())
+        return fail(r.error);
+    const int fd = ::socket(r.family, SOCK_STREAM, 0);
+    if (fd < 0)
+        return fail(std::strerror(errno));
+    if (rcvbufBytes > 0)
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbufBytes,
+                     sizeof(rcvbufBytes));
+    if (::connect(fd, r.sa(), r.len) != 0) {
+        const int e = errno;
+        ::close(fd);
+        return fail(std::strerror(e));
     }
-    if (startsWith(endpoint, kTcpPrefix)) {
-        std::string host;
-        int port = 0;
-        if (!parseTcp(endpoint, &host, &port))
-            return fail("bad tcp endpoint");
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(port));
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-            return fail("bad tcp host");
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            return fail(std::strerror(errno));
-        capRcvbuf(fd);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            const int e = errno;
-            ::close(fd);
-            return fail(std::strerror(e));
-        }
-        return fd;
-    }
-    return fail("endpoint must start with unix: or tcp:");
+    return fd;
 }
 
 bool

@@ -36,6 +36,9 @@ class NetError : public std::runtime_error
 /** Bind + listen on @p endpoint; returns the fd.  Throws NetError. */
 int listenOn(const std::string &endpoint, int backlog);
 
+/** Close a listenOn() fd; a unix: endpoint's socket file goes too. */
+void closeListener(int listenFd, const std::string &endpoint);
+
 /** The canonical endpoint string of a bound listener fd. */
 std::string boundEndpoint(int listenFd, const std::string &requested);
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include "memsim/address_space.hh"
 #include "core/runner.hh"
@@ -57,15 +56,20 @@ struct Server::Session
     std::string checkpointFile;
     std::string errorText;
     int frames = 0;
+    uint64_t fecBlocksCorrected = 0;
+    uint64_t fecBlocksUncorrectable = 0;
 
     // Written by the writer thread only.
     SenderState sender;
 };
 
+/** Stats ring capacity: the STATS window is capacity x interval. */
+constexpr size_t kStatsRingCapacity = 64;
+
 Server::Server(const ServerConfig &cfg)
     : cfg_(cfg), budget_(cfg.globalQueueBytes),
       admission_(cfg.admission), ladder_(cfg.ladder),
-      statsRing_(cfg.statsRingCapacity),
+      statsRing_(kStatsRingCapacity),
       latencyBuckets_(sessionLatencyBoundsMs().size() + 1, 0)
 {
     stats_.globalQueueWatermark = cfg.globalQueueBytes;
@@ -179,10 +183,8 @@ Server::stop()
     if (acceptThread_.joinable())
         acceptThread_.join();
     if (listenFd_ >= 0) {
-        shutdownAndClose(listenFd_);
+        closeListener(listenFd_, cfg_.listen);
         listenFd_ = -1;
-        if (cfg_.listen.rfind("unix:", 0) == 0)
-            ::unlink(cfg_.listen.substr(5).c_str());
     }
     stopTick_.store(true);
     if (tickThread_.joinable())
@@ -370,14 +372,12 @@ Server::statsJson() const
         snap.packets = stats_.packets;
         snap.payloadBytes = stats_.payloadBytes;
         snap.retargetSteps = stats_.retargetSteps;
+        snap.fecBlocksCorrected = stats_.fecBlocksCorrected;
+        snap.fecBlocksUncorrectable = stats_.fecBlocksUncorrectable;
         snap.sloWindows = sloWindows_;
         snap.sloViolations = sloViolations_;
     }
     snap.sloP99TargetMs = cfg_.sloP99Ms;
-    snap.fecBlocksCorrected =
-        obs::counter("fec.blocks_corrected").value();
-    snap.fecBlocksUncorrectable =
-        obs::counter("fec.blocks_uncorrectable").value();
 
     const StatsSample cur = currentSample(now);
     snap.lifetimeP50Ms =
@@ -447,9 +447,11 @@ Server::acceptLoop()
         // tiny and bounded; a client silent past it is treated as a
         // normal session connection.
         {
+            // Budget for sniffing the 4-byte STATS magic.
+            constexpr int64_t kStatsPeekMs = 10;
             uint8_t magic[4];
             ssize_t pk = -1;
-            const int64_t peekDeadline = monoMs() + cfg_.statsPeekMs;
+            const int64_t peekDeadline = monoMs() + kStatsPeekMs;
             for (;;) {
                 pk = ::recv(fd, magic, sizeof(magic),
                             MSG_PEEK | MSG_DONTWAIT);
@@ -600,6 +602,8 @@ Server::tickLoop()
 void
 Server::sessionWriter(Session &s)
 {
+    // Writer poll slice while the socket is unwritable.
+    constexpr int kWritePollMs = 200;
     std::vector<uint8_t> msg;
     for (;;) {
         if (!s.queue->pop(&msg, 200)) {
@@ -611,7 +615,7 @@ Server::sessionWriter(Session &s)
         parseMessageHeader(msg.data(), msg.size(), &h);
         const int64_t stallStart = monoMs();
         const bool ok = sendAll(
-            s.fd, msg.data(), msg.size(), cfg_.writeTimeoutMs,
+            s.fd, msg.data(), msg.size(), kWritePollMs,
             [this, &s, stallStart] {
                 // Stall budget: a peer that stops reading cannot hold
                 // the writer (and with it drain) hostage.
@@ -642,6 +646,8 @@ Server::stageData(Session &s, const uint8_t *data, size_t n,
     static obs::Counter &packetsC = obs::counter("serve.packets");
     static obs::Counter &bytesC = obs::counter("serve.bytes");
     static obs::Counter &retargetC = obs::counter("serve.retargets");
+    // Backpressure retarget: budget factor per step.
+    constexpr double kRetargetFactor = 0.5;
     size_t off = 0;
     while (off < n) {
         const size_t chunk = std::min(cfg_.mtuBytes, n - off);
@@ -668,13 +674,13 @@ Server::stageData(Session &s, const uint8_t *data, size_t n,
         // steps) so the stream shrinks instead of the queue growing.
         if (enc != nullptr && s.queue->aboveHighWater() &&
             s.retargetSteps < cfg_.maxRetargetSteps) {
-            enc->scaleBitrate(cfg_.retargetFactor);
+            enc->scaleBitrate(kRetargetFactor);
             ++s.retargetSteps;
             retargetC.add();
             emitEvent(service::JsonEvent("backpressure_retarget")
                           .num("session", static_cast<int64_t>(s.id))
                           .num("step", s.retargetSteps)
-                          .real("factor", cfg_.retargetFactor));
+                          .real("factor", kRetargetFactor));
         }
 
         if (!s.queue->push(std::move(msg), cfg_.pushTimeoutMs)) {
@@ -763,6 +769,10 @@ Server::runDecodeSession(Session &s, service::JobSpec &spec)
     const std::string report =
         service::decodeReport(d, /*fecDetail=*/false);
     s.frames = d.stats.vops;
+    if (d.fec) {
+        s.fecBlocksCorrected = d.fec->blocksCorrected;
+        s.fecBlocksUncorrectable = d.fec->blocksUncorrectable;
+    }
     return stageData(
         s, reinterpret_cast<const uint8_t *>(report.data()),
         report.size(), 0, nullptr, nullptr);
@@ -937,6 +947,8 @@ Server::sessionWorker(Session &s)
             static_cast<uint64_t>(s.retargetSteps);
         if (s.retargetSteps > 0)
             ++stats_.retargetedSessions;
+        stats_.fecBlocksCorrected += s.fecBlocksCorrected;
+        stats_.fecBlocksUncorrectable += s.fecBlocksUncorrectable;
     }
     observeSessionLatency(static_cast<double>(now - s.startMs));
     static obs::Counter &doneC = obs::counter("serve.sessions_done");

@@ -89,9 +89,6 @@ struct ServerConfig
     /** Slow-reader budget: max blocked time per staged message. */
     int64_t pushTimeoutMs = 3000;
 
-    /** Writer poll slice while the socket is unwritable. */
-    int writeTimeoutMs = 200;
-
     /** DATA payload size before FEC framing. */
     size_t mtuBytes = 1400;
 
@@ -101,23 +98,12 @@ struct ServerConfig
     /** Cadence of the stats snapshot ring (serve/stats.hh). */
     int64_t statsIntervalMs = 1000;
 
-    /** Ring capacity: the stats window is capacity x interval. */
-    size_t statsRingCapacity = 64;
-
     /**
      * p99 session-latency SLO target (0 = no SLO).  Each stats
      * interval with traffic is evaluated against it; violations are
      * counted in the STATS reply and emitted as slo_violation events.
      */
     int64_t sloP99Ms = 0;
-
-    /**
-     * Accept-side budget for sniffing the 4-byte STATS magic before
-     * the admission gate (MSG_PEEK, never consuming session bytes).
-     * A connection that stays silent this long is treated as a
-     * session and goes through admission unchanged.
-     */
-    int64_t statsPeekMs = 10;
 
     /** Where drain checkpoints sidecars go. */
     std::string checkpointDir = ".";
@@ -136,8 +122,7 @@ struct ServerConfig
     /** Daemon-wide queued-bytes watermark (strict). */
     size_t globalQueueBytes = 4u << 20;
 
-    /** Backpressure retarget: budget factor per step, max steps. */
-    double retargetFactor = 0.5;
+    /** Backpressure retarget: max steps per session. */
     int maxRetargetSteps = 3;
 };
 
@@ -163,6 +148,9 @@ struct ServerStats
 
     uint64_t retargetSteps = 0;      //!< Backpressure retargets.
     uint64_t retargetedSessions = 0; //!< Sessions with >= 1 retarget.
+
+    uint64_t fecBlocksCorrected = 0;     //!< Over decode sessions.
+    uint64_t fecBlocksUncorrectable = 0; //!< Over decode sessions.
 
     size_t globalQueuePeak = 0;      //!< Max global queued bytes seen.
     size_t globalQueueWatermark = 0; //!< The configured bound.

@@ -138,7 +138,7 @@ struct ServiceSnapshot
     uint64_t sloWindows = 0;    //!< Evaluated stats intervals.
     uint64_t sloViolations = 0; //!< Intervals with p99 over target.
 
-    // FEC channel health (obs "fec." counters; decode sessions).
+    // FEC channel health over this daemon's decode sessions.
     uint64_t fecBlocksCorrected = 0;
     uint64_t fecBlocksUncorrectable = 0;
 };

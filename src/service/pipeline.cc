@@ -74,8 +74,8 @@ decodeReport(const DecodeOutcome &d, bool fecDetail)
     std::string r;
     auto line = [&r](const std::string &key, auto... values) {
         r += key;
-        ((r += " " + std::to_string(values)), ...);
-        r += "\n";
+        ((r += ' ', r += std::to_string(values)), ...);
+        r += '\n';
     };
     line("vops", d.stats.vops);
     line("displayed", d.stats.displayed);

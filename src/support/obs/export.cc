@@ -7,10 +7,6 @@
  * (the "JSON Array Format" with a traceEvents wrapper), which loads
  * directly in Perfetto and chrome://tracing.  Timestamps convert
  * from our ns epoch to the microseconds the format expects.
- *
- * This file also hosts the definitions shared by the M4PS_OBS=0
- * build: exporters that emit valid-but-empty documents, and dummy
- * registry accessors, so tools link unchanged either way.
  */
 
 #include "support/obs/obs.hh"
@@ -78,8 +74,6 @@ quantileFromBuckets(const std::vector<double> &bounds,
     }
     return bounds.back();
 }
-
-#if M4PS_OBS
 
 namespace
 {
@@ -196,49 +190,5 @@ writeMetricsText(std::ostream &os)
         os << "\n";
     }
 }
-
-#else // !M4PS_OBS
-
-void
-writeChromeTrace(std::ostream &os)
-{
-    os << "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-void
-writeMetricsText(std::ostream &os)
-{
-    os << "# m4ps metrics dump (observability compiled out)\n";
-}
-
-Counter &
-counter(std::string_view)
-{
-    static Counter c;
-    return c;
-}
-
-Gauge &
-gauge(std::string_view)
-{
-    static Gauge g;
-    return g;
-}
-
-Histogram &
-histogram(std::string_view, const std::vector<double> &)
-{
-    static Histogram h;
-    return h;
-}
-
-const std::vector<double> &
-timingBoundsUs()
-{
-    static const std::vector<double> kEmpty;
-    return kEmpty;
-}
-
-#endif // M4PS_OBS
 
 } // namespace m4ps::obs

@@ -12,8 +12,6 @@
 
 #include "support/obs/obs.hh"
 
-#if M4PS_OBS
-
 #include <bit>
 #include <functional>
 #include <memory>
@@ -186,5 +184,3 @@ resetMetrics()
 }
 
 } // namespace m4ps::obs
-
-#endif // M4PS_OBS

@@ -20,10 +20,8 @@
  *    report; snapshotMetrics returns structured values for tests.
  *
  * Cost model (see bench_obs_overhead and docs/OBSERVABILITY.md):
- *  - Compiled out (M4PS_OBS=0): every entry point is an empty inline;
- *    zero code and zero data at call sites.
- *  - Compiled in, disabled (default): one relaxed atomic load and a
- *    predictable branch per site.
+ *  - Disabled (default): one relaxed atomic load and a predictable
+ *    branch per site.
  *  - Enabled: a clock read plus a buffer append per span; a relaxed
  *    fetch_add per counter update.
  *
@@ -37,10 +35,7 @@
 #ifndef M4PS_SUPPORT_OBS_OBS_HH
 #define M4PS_SUPPORT_OBS_OBS_HH
 
-#ifndef M4PS_OBS
-#define M4PS_OBS 1
-#endif
-
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -49,16 +44,11 @@
 #include <utility>
 #include <vector>
 
-#if M4PS_OBS
-#include <atomic>
-#endif
-
 namespace m4ps::obs
 {
 
 // ------------------------------------------------------------------
-// Shared value types (defined in both build flavours so tests and
-// exporters compile unchanged).
+// Value types.
 // ------------------------------------------------------------------
 
 /** One recorded trace event (Chrome trace_event model). */
@@ -109,8 +99,7 @@ const char *stageName(Stage s);
  * answer is therefore exact to within one bucket width.  Edge rules:
  * an empty histogram returns 0; mass that lands in the overflow
  * bucket clamps to the last finite bound (the histogram records
- * nothing above it).  @p q is clamped to [0, 1].  Pure function -
- * available (and identical) in both build flavours.
+ * nothing above it).  @p q is clamped to [0, 1].  Pure function.
  */
 double quantileFromBuckets(const std::vector<double> &bounds,
                            const std::vector<uint64_t> &buckets,
@@ -129,8 +118,6 @@ struct StageTimes
     uint64_t ns[kStageCount] = {};
     bool active = false; //!< Tracing was on when the row started.
 };
-
-#if M4PS_OBS
 
 // ------------------------------------------------------------------
 // Runtime switches.  Tracing and metrics toggle independently; both
@@ -426,96 +413,6 @@ void resetMetrics();
 
 /** Flat text dump: "counter <name> <value>" etc., sorted by name. */
 void writeMetricsText(std::ostream &os);
-
-#else // !M4PS_OBS --------------------------------------------------
-
-// Compiled-out build: every entry point collapses to an empty inline
-// so instrumented call sites cost nothing and need no #ifdefs.
-
-inline void setTracing(bool) {}
-inline void setMetrics(bool) {}
-inline bool tracingEnabled() { return false; }
-inline bool metricsEnabled() { return false; }
-inline uint64_t nowNs() { return 0; }
-inline uint64_t traceEpochRealtimeUs() { return 0; }
-inline int threadId() { return 0; }
-inline void setTraceId(std::string) {}
-inline std::string traceId() { return {}; }
-inline void setProcessName(std::string) {}
-inline std::string processName() { return {}; }
-inline void completeEvent(const char *, std::string, uint64_t, uint64_t,
-                          std::string = {})
-{
-}
-inline void instant(const char *, std::string, std::string = {}) {}
-
-class Span
-{
-  public:
-    Span(const char *, const char *) {}
-    bool active() const { return false; }
-    uint64_t startNs() const { return 0; }
-    void setArgs(std::string) {}
-};
-
-class StageScope
-{
-  public:
-    StageScope(StageTimes &, Stage) {}
-};
-
-inline void beginStages(StageTimes &) {}
-inline void emitStageSpans(const char *, const char *,
-                           const StageTimes &)
-{
-}
-inline std::vector<TraceEvent> snapshotTrace() { return {}; }
-inline uint64_t droppedEvents() { return 0; }
-inline void clearTrace() {}
-void writeChromeTrace(std::ostream &os); // emits an empty trace
-
-class Counter
-{
-  public:
-    void add(uint64_t = 1) {}
-    uint64_t value() const { return 0; }
-    void reset() {}
-};
-
-class Gauge
-{
-  public:
-    void set(int64_t) {}
-    int64_t value() const { return 0; }
-    int64_t maxValue() const { return 0; }
-    void reset() {}
-};
-
-class Histogram
-{
-  public:
-    void observe(double) {}
-    uint64_t count() const { return 0; }
-    double sum() const { return 0.0; }
-    const std::vector<double> &bounds() const
-    {
-        static const std::vector<double> kEmpty;
-        return kEmpty;
-    }
-    std::vector<uint64_t> bucketCounts() const { return {}; }
-    void reset() {}
-};
-
-Counter &counter(std::string_view name);
-Gauge &gauge(std::string_view name);
-Histogram &histogram(std::string_view name,
-                     const std::vector<double> &bounds);
-const std::vector<double> &timingBoundsUs();
-inline MetricsSnapshot snapshotMetrics() { return {}; }
-inline void resetMetrics() {}
-void writeMetricsText(std::ostream &os); // emits an empty report
-
-#endif // M4PS_OBS
 
 } // namespace m4ps::obs
 

@@ -15,8 +15,6 @@
 
 #include "support/obs/obs.hh"
 
-#if M4PS_OBS
-
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -287,5 +285,3 @@ clearTrace()
 }
 
 } // namespace m4ps::obs
-
-#endif // M4PS_OBS

@@ -123,8 +123,6 @@ expectStrictNesting(const std::vector<obs::TraceEvent> &events)
     }
 }
 
-#if M4PS_OBS
-
 TEST(Obs, SpansNestStrictlyPerThreadAcrossFourThreadRun)
 {
     ObsSandbox sandbox;
@@ -339,26 +337,7 @@ TEST(Obs, ConcurrentSpansAndCountersStress)
     expectStrictNesting(events);
 }
 
-#else // !M4PS_OBS
-
-TEST(Obs, CompiledOutBuildIsInertButLinks)
-{
-    obs::setTracing(true);
-    obs::setMetrics(true);
-    {
-        obs::Span s("test", "noop");
-        obs::counter("test.noop").add();
-    }
-    EXPECT_FALSE(obs::tracingEnabled());
-    EXPECT_TRUE(obs::snapshotTrace().empty());
-    std::ostringstream os;
-    obs::writeChromeTrace(os);
-    EXPECT_FALSE(os.str().empty()); // still a valid (empty) document
-}
-
-#endif // M4PS_OBS
-
-// --- histogram quantiles (shared API, both build flavors) --------------
+// --- histogram quantiles ----------------------------------------------
 
 TEST(ObsQuantile, EmptyHistogramYieldsZero)
 {
@@ -434,8 +413,6 @@ TEST(ObsQuantile, AgreesWithExactQuantilesWithinOneBucketWidth)
         EXPECT_LE(approx, hi) << "q=" << q << " exact=" << exact;
     }
 }
-
-#if M4PS_OBS
 
 // --- cross-process identity and the trace exporter ---------------------
 
@@ -592,8 +569,6 @@ TEST(ObsTrace, EventLogLinesCarryTheTraceId)
     bare.emit(service::JsonEvent("unit_event"));
     EXPECT_EQ(bare.lines()[0].find("trace_id"), std::string::npos);
 }
-
-#endif // M4PS_OBS
 
 } // namespace
 } // namespace m4ps

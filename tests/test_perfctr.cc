@@ -302,7 +302,6 @@ TEST(Perfctr, RegionSpansNestLikeObsSpans)
         }
     }
 
-#if M4PS_OBS
     const std::vector<obs::TraceEvent> trace = obs::snapshotTrace();
     const obs::TraceEvent *outer = nullptr;
     const obs::TraceEvent *inner = nullptr;
@@ -333,10 +332,6 @@ TEST(Perfctr, RegionSpansNestLikeObsSpans)
     EXPECT_NE(inner->args.find("\"hw_cycles\""), std::string::npos);
     EXPECT_EQ(plain->args.find("perf_backend"), std::string::npos)
         << "ordinary spans must not grow perf args";
-#else
-    // Compiled out, regions and spans still run but record nothing.
-    EXPECT_TRUE(obs::snapshotTrace().empty());
-#endif
 }
 
 } // namespace

@@ -14,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "core/runner.hh"
 #include "serve/admission.hh"
 #include "serve/client.hh"
+#include "serve/net.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/server.hh"
@@ -581,6 +586,46 @@ TEST(Serve, StreamedBitstreamIsByteIdenticalToDirectEncode)
     const ServerStats st = server.stats();
     EXPECT_EQ(st.admitted, 1u);
     EXPECT_EQ(st.completed, 1u);
+}
+
+TEST(Serve, UnixEndpointServesAndRemovesItsSocketFile)
+{
+    const std::string path = testing::TempDir() + "m4ps_serve_" +
+                             std::to_string(::getpid()) + ".sock";
+    ServerConfig cfg = tinyServerConfig();
+    cfg.listen = "unix:" + path;
+    Server server(cfg);
+    server.start();
+    EXPECT_EQ(server.endpoint(), cfg.listen);
+    struct stat st{};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISSOCK(st.st_mode));
+
+    const ClientResult r =
+        runClientSession(server.endpoint(), kTinySpec);
+    ASSERT_TRUE(r.gotFinal) << r.error;
+    EXPECT_EQ(r.finalStatus, Status::Ok) << r.statusJson;
+    EXPECT_EQ(r.stream, directEncode(kTinySpec));
+
+    server.stop();
+    EXPECT_NE(::stat(path.c_str(), &st), 0) << "socket file left behind";
+}
+
+TEST(ServeNet, UnusableEndpointsFailOnBothSides)
+{
+    const std::string tooLong =
+        "unix:" + testing::TempDir() +
+        std::string(sizeof(sockaddr_un{}.sun_path), 's');
+    for (const std::string &ep :
+         {std::string("tcp:"), std::string("tcp:127.0.0.1:70000"),
+          std::string("tcp:not-an-ip:1"), std::string("ftp:x"),
+          tooLong}) {
+        SCOPED_TRACE(ep);
+        EXPECT_THROW(listenOn(ep, 1), NetError);
+        std::string err;
+        EXPECT_EQ(connectTo(ep, &err), -1);
+        EXPECT_NE(err.find(ep), std::string::npos) << err;
+    }
 }
 
 TEST(Serve, FecFramedSessionRecoversByteIdentically)

@@ -9,17 +9,24 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/runner.hh"
+#include "fec/frame.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/stats.hh"
+#include "service/pipeline.hh"
+#include "support/fileio.hh"
 #include "support/json.hh"
 #include "support/obs/obs.hh"
 
@@ -330,6 +337,60 @@ TEST(StatsIntegration, SloViolationsAreCountedPerWindow)
     EXPECT_GE(slo->numberOr("violations", 0), 1);
     EXPECT_GE(server.eventCount("slo_violation"), 1);
     server.stop();
+}
+
+TEST(StatsIntegration, FecCountsAreThisDaemonsDecodeSessions)
+{
+    // With metrics off the obs registry counts nothing, so the STATS
+    // numbers must come from the daemon's own sessions.
+    obs::setMetrics(false);
+    const std::string keys = " width=64 height=64 frames=4 "
+                             "resync-interval=1 checkpoint=0 "
+                             "fec=soft fec-rate=1/2";
+    const std::string in = testing::TempDir() + "m4ps_stats_fec_" +
+                           std::to_string(::getpid()) + ".m4v";
+    const service::JobSpec spec =
+        service::parseSpecLine("dec", "type=decode input=" + in + keys);
+    const fec::FecConfig fcfg = spec.fecConfig();
+    fec::ChannelSpec channel;
+    channel.faults.ber = 2e-3;
+    channel.faults.seed = 11;
+    const std::vector<uint8_t> noisy = fec::transmit(
+        fec::protect(
+            core::ExperimentRunner::encodeUntraced(spec.workload),
+            fcfg),
+        channel, &fcfg);
+    support::writeFileAtomic(in, noisy.data(), noisy.size());
+    const service::DecodeOutcome direct =
+        service::decodeStream(spec, noisy);
+    ASSERT_TRUE(direct.fec.has_value());
+
+    Server server(statsServerConfig());
+    server.start();
+    const ClientResult r = runClientSession(
+        server.endpoint(), "type=decode input=" + in + keys);
+    ASSERT_TRUE(r.gotFinal) << r.error;
+    ASSERT_EQ(r.finalStatus, Status::Ok) << r.statusJson;
+    awaitSessionsDone(server, 1);
+    std::string err;
+    const std::string payload =
+        queryServerStats(server.endpoint(), &err);
+    server.stop();
+    std::remove(in.c_str());
+    ASSERT_FALSE(payload.empty()) << err;
+
+    const std::string report(r.stream.begin(), r.stream.end());
+    const std::string key = "fec_blocks_corrected ";
+    const size_t at = report.find(key);
+    ASSERT_NE(at, std::string::npos) << report;
+    const double reported = std::stod(report.substr(at + key.size()));
+    const support::JsonValue snap = support::parseJson(payload);
+    const support::JsonValue *fecStats = snap.find("fec");
+    ASSERT_NE(fecStats, nullptr);
+    EXPECT_GT(reported, 0);
+    EXPECT_EQ(fecStats->numberOr("blocks_corrected", -1), reported);
+    EXPECT_EQ(fecStats->numberOr("blocks_uncorrectable", -1),
+              static_cast<double>(direct.fec->blocksUncorrectable));
 }
 
 } // namespace
