@@ -66,7 +66,7 @@ constexpr size_t kAcsSteps = 4096;
 /** Fixed pseudo-random working set every backend reads. */
 struct Inputs
 {
-    std::vector<uint8_t> pels;    //!< Byte rows (SAD/interp/copy).
+    std::vector<uint8_t> pels;    //!< Byte rows (SAD/interp/avg).
     std::vector<int16_t> blocks;  //!< 8x8 coefficient blocks.
     /** K=7 butterfly table: the ACS costs the same for any code. */
     uint8_t butterfly[32];
@@ -294,40 +294,6 @@ runAvg(const kn::KernelOps &k, const Inputs &in, uint64_t *pels,
     return h;
 }
 
-uint64_t
-runCopy(const kn::KernelOps &k, const Inputs &in, uint64_t *pels,
-       bool hash)
-{
-    uint64_t h = kFnvOffset;
-    uint64_t n = 0;
-    uint8_t out[704];
-    for (size_t off = 0; off + 1440 <= in.pels.size(); off += 1440) {
-        k.copyRow(&in.pels[off], 704, out);
-        if (hash)
-            h = fnv(h, out, sizeof(out));
-        n += 704;
-    }
-    *pels = n;
-    return h;
-}
-
-uint64_t
-runSsd(const kn::KernelOps &k, const Inputs &in, uint64_t *pels,
-       bool hash)
-{
-    uint64_t h = kFnvOffset;
-    uint64_t n = 0;
-    for (size_t off = 0; off + 1440 <= in.pels.size(); off += 1440) {
-        const uint64_t ssd =
-            k.ssdRow(&in.pels[off], &in.pels[off + 720], 704);
-        if (hash)
-            h = fnv(h, &ssd, sizeof(ssd));
-        n += 704;
-    }
-    *pels = n;
-    return h;
-}
-
 /** K=7 ACS over every symbol block; one decoded bit per step. */
 uint64_t
 runViterbi(const kn::KernelOps &k, const Inputs &in, bool soft,
@@ -380,8 +346,7 @@ const OpSpec kOps[] = {
     {"fdct", runFdct},         {"idct", runIdct},
     {"quant_h263", runQuant},  {"dequant_h263", runDequant},
     {"predict_row", runPredict}, {"interp_row", runInterp},
-    {"avg_row", runAvg},       {"copy_row", runCopy},
-    {"ssd_row", runSsd},
+    {"avg_row", runAvg},
     {"viterbi_soft", runViterbiSoft, "bit"},
     {"viterbi_hard", runViterbiHard, "bit"},
 };

@@ -44,7 +44,6 @@
 
 #include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
-#include "codec/kernels/kernels.hh"
 #include "core/machine.hh"
 #include "fec/frame.hh"
 #include "service/pipeline.hh"
@@ -110,10 +109,13 @@ psnr(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
 {
     if (a.size() != b.size() || a.empty())
         return 0.0;
-    // Integer SSD through the kernel layer (exact in uint64; a frame
-    // tops out far below 2^53, so the double conversion is lossless).
-    const uint64_t sse = codec::kernels::active().ssdRow(
-        a.data(), b.data(), static_cast<int>(a.size()));
+    // Exact integer SSD (a frame tops out far below 2^53, so the
+    // double conversion is lossless).
+    uint64_t sse = 0;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const int d = static_cast<int>(a[i]) - b[i];
+        sse += static_cast<uint64_t>(d * d);
+    }
     if (sse == 0)
         return 99.0; // identical; cap instead of infinity
     const double mse = static_cast<double>(sse) /

@@ -5,16 +5,18 @@
  * The paper deliberately measures MPEG-4 on *non-SIMD* general-purpose
  * hardware; this layer is the controlled experiment that adds SIMD
  * back.  The inner loops of motion estimation (16x16/8x8 SAD with
- * half-pel variants), the 8x8 DCT/IDCT, quantization, half-pel plane
- * interpolation, and the concealment/prediction copies - plus the
- * FEC decoder's Viterbi add-compare-select - are factored
- * into a table of function pointers (KernelOps) with one
- * implementation per instruction set: portable scalar (the reference,
- * always compiled), SSE4.1 and AVX2 on x86-64, NEON on AArch64.  The
- * backend is chosen once at startup - CPUID-based feature detection
- * picks the widest supported set - and can be forced with
- * `--kernels=<name>` on the tools or the M4PS_KERNELS environment
- * variable (docs/KERNELS.md).
+ * half-pel variants), the 8x8 DCT/IDCT, quantization, motion-
+ * compensated prediction, half-pel plane interpolation and B-VOP
+ * averaging - plus the FEC decoder's Viterbi add-compare-select - are
+ * factored into a table of function pointers (KernelOps) with one
+ * table per instruction set: portable scalar (the reference, always
+ * compiled), SSE4.1 and AVX2 on x86-64, NEON on AArch64.  A wider
+ * backend starts from the next-narrower table and replaces only the
+ * entries its lanes measurably speed up: AVX2 is SSE4.1's table with
+ * six entries of its own.  The backend is chosen once at startup -
+ * CPUID-based feature detection picks the widest supported set - and
+ * can be forced with `--kernels=<name>` on the tools or the
+ * M4PS_KERNELS environment variable (docs/KERNELS.md).
  *
  * Two contracts every backend must honour:
  *
@@ -142,7 +144,7 @@ struct KernelOps
     void (*dequant)(const int16_t *levels, int16_t *coefs, int start,
                     const QuantArgs &qa);
 
-    // --- Prediction / interpolation / concealment ------------------
+    // --- Prediction / interpolation --------------------------------
     /**
      * Motion-compensated prediction of one row: out[i] is r0/r1
      * bilinear at half-pel phase (hx, hy), n in {8, 16}.
@@ -159,10 +161,6 @@ struct KernelOps
     /** out[i] = (a[i] + b[i] + 1) >> 1 (B-VOP bidirectional mode). */
     void (*avgRow)(const uint8_t *a, const uint8_t *b, int n,
                    uint8_t *out);
-    /** Plain pel copy (concealment block placement). */
-    void (*copyRow)(const uint8_t *src, int n, uint8_t *dst);
-    /** Sum of squared differences (PSNR helpers); exact in uint64. */
-    uint64_t (*ssdRow)(const uint8_t *a, const uint8_t *b, int n);
 
     // --- Channel decoding ------------------------------------------
     /**

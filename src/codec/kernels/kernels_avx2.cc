@@ -1,17 +1,22 @@
 /**
  * @file
- * AVX2 kernel backend (x86-64, 256-bit).
+ * AVX2 kernel backend (x86-64, 256-bit): SSE4.1's table with six
+ * entries replaced.
  *
- * Same bit-identity strategy as the SSE4.1 backend (see that file and
- * docs/KERNELS.md): exact integer formulations, float division by the
- * uniform 2q quantizer step (exact for this domain), and a DCT
- * vectorized across outputs - four double lanes per register, two
- * registers covering all eight outputs of a pass, each lane running
- * the scalar multiply-then-add order (no FMA: this file is compiled
- * with -mavx2 only).  Row kernels of 16 pels stay on 128-bit PSADBW /
- * PAVGB forms - a macroblock row does not fill a ymm - while the
- * wide-span kernels (interpolation, averaging, SSD) and the
- * coefficient kernels use full 256-bit lanes.
+ * A 16-pel macroblock row never fills a ymm, so the row kernels (SAD
+ * and its half-pel forms, row sum and deviation, prediction) and
+ * dequant stay SSE4.1's; this file holds only the kernels where
+ * bench_kernels measured 256-bit lanes faster (docs/KERNELS.md):
+ * fdct, idct, quant, interpRow, avgRow and viterbiAcs.  They keep the
+ * SSE4.1 backend's bit-identity strategy - exact integer
+ * formulations, float division by the uniform 2q quantizer step
+ * (exact for this domain), and a DCT vectorized across outputs, four
+ * double lanes per register, two registers covering all eight
+ * outputs of a pass, each lane running the scalar multiply-then-add
+ * order (no FMA: this file is compiled with -mavx2 only).
+ *
+ * Built only alongside the SSE4.1 backend, whose table this one
+ * starts from.
  */
 
 #if defined(M4PS_KERNELS_HAVE_AVX2)
@@ -20,7 +25,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <immintrin.h>
 
 namespace m4ps::codec::kernels
@@ -31,12 +35,6 @@ namespace avx2
 
 namespace
 {
-
-inline int
-hsum_sad(__m128i s)
-{
-    return _mm_cvtsi128_si32(s) + _mm_extract_epi16(s, 4);
-}
 
 /** (a + b + c + d + 2) >> 2 over 16 pels, widened through epi16. */
 inline __m128i
@@ -53,136 +51,7 @@ avg4x16(__m128i a, __m128i b, __m128i c, __m128i d)
                             _mm256_extracti128_si256(r, 1));
 }
 
-/** Half-pel interpolated row of 16 pels at phase (hx, hy). */
-inline __m128i
-hpel16(const uint8_t *r0, const uint8_t *r1, int hx, int hy)
-{
-    const __m128i a = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(r0));
-    if (hx && hy) {
-        return avg4x16(
-            a,
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(r0 + 1)),
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(r1)),
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r1 + 1)));
-    }
-    if (hx) {
-        return _mm_avg_epu8(a, _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(r0 + 1)));
-    }
-    if (hy) {
-        return _mm_avg_epu8(a, _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(r1)));
-    }
-    return a;
-}
-
-inline __m128i
-hpel8(const uint8_t *r0, const uint8_t *r1, int hx, int hy)
-{
-    const __m128i a = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(r0));
-    if (hx && hy) {
-        const __m128i b = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r0 + 1));
-        const __m128i c = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r1));
-        const __m128i d = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r1 + 1));
-        const __m128i s = _mm_add_epi16(
-            _mm_add_epi16(_mm_cvtepu8_epi16(a), _mm_cvtepu8_epi16(b)),
-            _mm_add_epi16(_mm_cvtepu8_epi16(c),
-                          _mm_cvtepu8_epi16(d)));
-        const __m128i r = _mm_srli_epi16(
-            _mm_add_epi16(s, _mm_set1_epi16(2)), 2);
-        return _mm_packus_epi16(r, _mm_setzero_si128());
-    }
-    if (hx) {
-        return _mm_avg_epu8(a, _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r0 + 1)));
-    }
-    if (hy) {
-        return _mm_avg_epu8(a, _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r1)));
-    }
-    return a;
-}
-
 } // namespace
-
-int
-sadRow16(const uint8_t *c, const uint8_t *r)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    const __m128i rv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(r));
-    return hsum_sad(_mm_sad_epu8(cv, rv));
-}
-
-int
-sadRow8(const uint8_t *c, const uint8_t *r)
-{
-    const __m128i cv = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(c));
-    const __m128i rv = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(r));
-    return _mm_cvtsi128_si32(_mm_sad_epu8(cv, rv));
-}
-
-int
-sadRowHpel16(const uint8_t *c, const uint8_t *r0, const uint8_t *r1,
-             int hx, int hy)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    return hsum_sad(_mm_sad_epu8(cv, hpel16(r0, r1, hx, hy)));
-}
-
-int
-sadRowHpel8(const uint8_t *c, const uint8_t *r0, const uint8_t *r1,
-            int hx, int hy)
-{
-    const __m128i cv = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(c));
-    return _mm_cvtsi128_si32(
-        _mm_sad_epu8(cv, hpel8(r0, r1, hx, hy)));
-}
-
-int
-sumRow16(const uint8_t *c)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    return hsum_sad(_mm_sad_epu8(cv, _mm_setzero_si128()));
-}
-
-int
-absDevRow16(const uint8_t *c, uint8_t mean)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    const __m128i mv = _mm_set1_epi8(static_cast<char>(mean));
-    return hsum_sad(_mm_sad_epu8(cv, mv));
-}
-
-void
-predictRow(const uint8_t *r0, const uint8_t *r1, int hx, int hy, int n,
-           uint8_t *out)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
-                         hpel16(r0 + i, r1 + i, hx, hy));
-    }
-    for (; i + 8 <= n; i += 8) {
-        _mm_storel_epi64(reinterpret_cast<__m128i *>(out + i),
-                         hpel8(r0 + i, r1 + i, hx, hy));
-    }
-    if (i < n)
-        scalar::predictRow(r0 + i, r1 + i, hx, hy, n - i, out + i);
-}
 
 void
 interpRow(const uint8_t *r0, const uint8_t *r1, int n, uint8_t *h,
@@ -237,39 +106,6 @@ avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out)
 }
 
 void
-copyRow(const uint8_t *src, int n, uint8_t *dst)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n));
-}
-
-uint64_t
-ssdRow(const uint8_t *a, const uint8_t *b, int n)
-{
-    __m256i acc = _mm256_setzero_si256(); // 4 x epi64
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i av = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a + i));
-        const __m128i bv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + i));
-        const __m256i d = _mm256_sub_epi16(_mm256_cvtepu8_epi16(av),
-                                           _mm256_cvtepu8_epi16(bv));
-        const __m256i m = _mm256_madd_epi16(d, d); // 8 x epi32
-        acc = _mm256_add_epi64(
-            acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(m)));
-        acc = _mm256_add_epi64(
-            acc,
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(m, 1)));
-    }
-    uint64_t lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    if (i < n)
-        total += scalar::ssdRow(a + i, b + i, n - i);
-    return total;
-}
-
-void
 quant(const int16_t *coefs, int16_t *levels, int start,
       const QuantArgs &qa)
 {
@@ -303,45 +139,6 @@ quant(const int16_t *coefs, int16_t *levels, int start,
             _mm256_castsi256_si128(l),
             _mm256_extracti128_si256(l, 1));
         _mm_storeu_si128(reinterpret_cast<__m128i *>(levels + i),
-                         packed);
-    }
-}
-
-void
-dequant(const int16_t *levels, int16_t *coefs, int start,
-        const QuantArgs &qa)
-{
-    if (qa.mpeg) {
-        scalar::dequantMpeg(levels, coefs, start, qa);
-        return;
-    }
-    int i = start;
-    if (i & 7) {
-        const int head = std::min((i + 7) & ~7, 64);
-        scalar::dequantRange(levels, coefs, i, head, qa);
-        i = head;
-    }
-    const __m256i qv = _mm256_set1_epi32(qa.q);
-    const __m256i even = _mm256_set1_epi32(qa.q % 2 == 0 ? 1 : 0);
-    const __m256i one = _mm256_set1_epi32(1);
-    const __m256i lcap = _mm256_set1_epi32(2047);
-    const __m256i lfloor = _mm256_set1_epi32(-2048);
-    for (; i < 64; i += 8) {
-        const __m128i lv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(levels + i));
-        const __m256i l32 = _mm256_cvtepi16_epi32(lv);
-        const __m256i mag = _mm256_abs_epi32(l32);
-        // c = q * (2|lvl| + 1) - [q even]
-        __m256i c = _mm256_mullo_epi32(
-            qv, _mm256_add_epi32(_mm256_slli_epi32(mag, 1), one));
-        c = _mm256_sub_epi32(c, even);
-        // Zero where lvl == 0, negate where lvl < 0, then clamp.
-        c = _mm256_sign_epi32(c, l32);
-        c = _mm256_min_epi32(_mm256_max_epi32(c, lfloor), lcap);
-        const __m128i packed = _mm_packs_epi32(
-            _mm256_castsi256_si128(c),
-            _mm256_extracti128_si256(c, 1));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(coefs + i),
                          packed);
     }
 }
@@ -539,25 +336,17 @@ viterbiAcs(const AcsArgs &a)
 const KernelOps &
 avx2Ops()
 {
-    static const KernelOps ops = {
-        "avx2",
-        avx2::sadRow16,
-        avx2::sadRow8,
-        avx2::sadRowHpel16,
-        avx2::sadRowHpel8,
-        avx2::sumRow16,
-        avx2::absDevRow16,
-        avx2::fdct,
-        avx2::idct,
-        avx2::quant,
-        avx2::dequant,
-        avx2::predictRow,
-        avx2::interpRow,
-        avx2::avgRow,
-        avx2::copyRow,
-        avx2::ssdRow,
-        avx2::viterbiAcs,
-    };
+    static const KernelOps ops = [] {
+        KernelOps o = sse41Ops();
+        o.name = "avx2";
+        o.fdct = avx2::fdct;
+        o.idct = avx2::idct;
+        o.quant = avx2::quant;
+        o.interpRow = avx2::interpRow;
+        o.avgRow = avx2::avgRow;
+        o.viterbiAcs = avx2::viterbiAcs;
+        return o;
+    }();
     return ops;
 }
 

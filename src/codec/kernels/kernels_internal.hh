@@ -114,8 +114,6 @@ void predictRow(const uint8_t *r0, const uint8_t *r1, int hx, int hy,
 void interpRow(const uint8_t *r0, const uint8_t *r1, int n, uint8_t *h,
                uint8_t *v, uint8_t *hv);
 void avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out);
-void copyRow(const uint8_t *src, int n, uint8_t *dst);
-uint64_t ssdRow(const uint8_t *a, const uint8_t *b, int n);
 /** Any k in [3, 7]; the SIMD backends take k = 7 only. */
 uint64_t viterbiAcs(const AcsArgs &a);
 

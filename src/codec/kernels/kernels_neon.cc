@@ -173,32 +173,6 @@ avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out)
 }
 
 void
-copyRow(const uint8_t *src, int n, uint8_t *dst)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n));
-}
-
-uint64_t
-ssdRow(const uint8_t *a, const uint8_t *b, int n)
-{
-    uint64x2_t acc = vdupq_n_u64(0);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const uint16x8_t d = vabdl_u8(vld1_u8(a + i), vld1_u8(b + i));
-        const uint32x4_t sqlo =
-            vmull_u16(vget_low_u16(d), vget_low_u16(d));
-        const uint32x4_t sqhi =
-            vmull_u16(vget_high_u16(d), vget_high_u16(d));
-        acc = vpadalq_u32(acc, sqlo);
-        acc = vpadalq_u32(acc, sqhi);
-    }
-    uint64_t total = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-    if (i < n)
-        total += scalar::ssdRow(a + i, b + i, n - i);
-    return total;
-}
-
-void
 quant(const int16_t *coefs, int16_t *levels, int start,
       const QuantArgs &qa)
 {
@@ -463,8 +437,6 @@ neonOps()
         neon::predictRow,
         neon::interpRow,
         neon::avgRow,
-        neon::copyRow,
-        neon::ssdRow,
         neon::viterbiAcs,
     };
     return ops;

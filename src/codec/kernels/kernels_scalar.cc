@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 namespace m4ps::codec::kernels
 {
@@ -309,23 +308,6 @@ avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out)
         out[i] = static_cast<uint8_t>((a[i] + b[i] + 1) >> 1);
 }
 
-void
-copyRow(const uint8_t *src, int n, uint8_t *dst)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n));
-}
-
-uint64_t
-ssdRow(const uint8_t *a, const uint8_t *b, int n)
-{
-    uint64_t acc = 0;
-    for (int i = 0; i < n; ++i) {
-        const int d = static_cast<int>(a[i]) - b[i];
-        acc += static_cast<uint64_t>(d * d);
-    }
-    return acc;
-}
-
 uint64_t
 viterbiAcs(const AcsArgs &a)
 {
@@ -384,8 +366,6 @@ scalarOps()
         scalar::predictRow,
         scalar::interpRow,
         scalar::avgRow,
-        scalar::copyRow,
-        scalar::ssdRow,
         scalar::viterbiAcs,
     };
     return ops;

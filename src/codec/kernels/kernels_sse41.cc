@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <smmintrin.h>
 
 namespace m4ps::codec::kernels
@@ -231,44 +230,6 @@ avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out)
     }
     if (i < n)
         scalar::avgRow(a + i, b + i, n - i, out + i);
-}
-
-void
-copyRow(const uint8_t *src, int n, uint8_t *dst)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n));
-}
-
-uint64_t
-ssdRow(const uint8_t *a, const uint8_t *b, int n)
-{
-    __m128i acc = _mm_setzero_si128(); // 2 x epi64
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i av = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a + i));
-        const __m128i bv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + i));
-        const __m128i dlo = _mm_sub_epi16(_mm_cvtepu8_epi16(av),
-                                          _mm_cvtepu8_epi16(bv));
-        const __m128i dhi =
-            _mm_sub_epi16(_mm_cvtepu8_epi16(_mm_srli_si128(av, 8)),
-                          _mm_cvtepu8_epi16(_mm_srli_si128(bv, 8)));
-        // 8 squares -> 4 epi32 per half; widen to epi64 to accumulate
-        // without overflow for any row length.
-        const __m128i mlo = _mm_madd_epi16(dlo, dlo);
-        const __m128i mhi = _mm_madd_epi16(dhi, dhi);
-        const __m128i s32 = _mm_add_epi32(mlo, mhi);
-        acc = _mm_add_epi64(acc, _mm_cvtepi32_epi64(s32));
-        acc = _mm_add_epi64(acc,
-                            _mm_cvtepi32_epi64(_mm_srli_si128(s32, 8)));
-    }
-    uint64_t lanes[2];
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(lanes), acc);
-    uint64_t total = lanes[0] + lanes[1];
-    if (i < n)
-        total += scalar::ssdRow(a + i, b + i, n - i);
-    return total;
 }
 
 void
@@ -568,8 +529,6 @@ sse41Ops()
         sse41::predictRow,
         sse41::interpRow,
         sse41::avgRow,
-        sse41::copyRow,
-        sse41::ssdRow,
         sse41::viterbiAcs,
     };
     return ops;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "support/logging.hh"
 
@@ -339,7 +340,6 @@ predictLuma16FromInterp(const video::Plane &base,
                         const HalfPelPlanes &interp, int bx, int by,
                         MotionVector mv, uint8_t *out)
 {
-    const kernels::KernelOps &k = kernels::active();
     const int hx = mv.x & 1;
     const int hy = mv.y & 1;
     // Same clamp as predictBlock() so both paths pick the same
@@ -355,7 +355,7 @@ predictLuma16FromInterp(const video::Plane &base,
     src->prefetch(x0, y0 + kMb);
     for (int row = 0; row < kMb; ++row) {
         src->traceLoadRow(x0, y0 + row, kMb);
-        k.copyRow(src->rowPtr(y0 + row) + x0, kMb, out + row * kMb);
+        std::memcpy(out + row * kMb, src->rowPtr(y0 + row) + x0, kMb);
     }
 }
 

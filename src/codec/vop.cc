@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <optional>
 
 #include "bitstream/expgolomb.hh"
@@ -1547,10 +1548,9 @@ VopDecoder::concealRow(int r, const VopHeader &hdr,
         // from its half-pel planes.
         predictMb(*src, nullptr, px, py, mv, buf, predBuf_[0]);
         predBuf_[0].traceLoadRow(0, 384);
-        const kernels::KernelOps &k = kernels::active();
         for (int row = 0; row < kMb; ++row) {
             uint8_t *dst = out.y().rowPtr(py + row) + px;
-            k.copyRow(buf + row * kMb, kMb, dst);
+            std::memcpy(dst, buf + row * kMb, kMb);
             out.y().traceStoreRow(px, py + row, kMb);
         }
         for (int p = 1; p < 3; ++p) {
@@ -1558,7 +1558,7 @@ VopDecoder::concealRow(int r, const VopHeader &hdr,
             video::Plane &pl = out.plane(p);
             for (int row = 0; row < 8; ++row) {
                 uint8_t *dst = pl.rowPtr(py / 2 + row) + px / 2;
-                k.copyRow(s + row * 8, 8, dst);
+                std::memcpy(dst, s + row * 8, 8);
                 pl.traceStoreRow(px / 2, py / 2 + row, 8);
             }
         }

@@ -52,6 +52,17 @@ struct Workload
     /** "720x576", "1024x768", ... */
     std::string sizeLabel() const;
 
+    /**
+     * Why the codec cannot run this workload, or "" when it can.
+     * Tests every condition the codec's configuration asserts test
+     * (EncoderConfig, GopConfig, VolConfig) and frames >= 1, without
+     * aborting, and names the offending setting by its spec key, so
+     * m4ps_run and JobSpec::validate() (manifests, worker specs and
+     * serve requests) can turn untrusted input into a usage error.
+     */
+    std::string whyInvalid() const;
+
+    /** Aborts with whyInvalid() unless it is empty. */
     void validate() const;
 };
 

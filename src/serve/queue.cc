@@ -223,11 +223,8 @@ SessionQueue::highWatermarkSeen() const
 // ------------------------------------------------------------------
 
 void
-SenderState::onSend(size_t payloadBytes, int64_t sendMs, int64_t mediaMs)
+SenderState::onSend(int64_t sendMs, int64_t mediaMs)
 {
-    ++packets;
-    bytes += payloadBytes;
-    ++nextSeq;
     const int64_t transit = sendMs - mediaMs;
     if (haveLast_) {
         const double d =

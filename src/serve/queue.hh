@@ -19,11 +19,9 @@
  *    push that stays blocked past its budget returns false and the
  *    session sheds with a structured SlowReader error.
  *
- *  - SenderState: per-session sequence/jitter/loss accounting in the
- *    RFC 3550 spirit - dense sequence numbers, an EWMA interarrival
- *    jitter estimate over send-time-minus-media-time transit
- *    deltas, and a dropped-packet count for payloads shed under
- *    backpressure.
+ *  - SenderState: per-session interarrival jitter in the RFC 3550
+ *    spirit - an EWMA over send-time-minus-media-time transit
+ *    deltas.
  *
  * All blocking is condition-variable based with bounded waits; every
  * wait loop re-checks the closed flag so drain and abort always win.
@@ -138,17 +136,13 @@ class SessionQueue
     bool gated_ = false; //!< Producer hit high; stays blocked till low.
 };
 
-/** Per-session sequence / jitter / loss accounting. */
+/** Per-session interarrival jitter of the sent DATA packets. */
 struct SenderState
 {
-    uint32_t nextSeq = 0;
-    uint64_t packets = 0;
-    uint64_t bytes = 0;
-    uint64_t packetsDropped = 0; //!< Shed under backpressure.
-    double jitterMs = 0.0;       //!< RFC 3550-style EWMA (J += (|D|-J)/16).
+    double jitterMs = 0.0; //!< RFC 3550-style EWMA (J += (|D|-J)/16).
 
-    /** Record one sent packet and fold its transit into the jitter. */
-    void onSend(size_t payloadBytes, int64_t sendMs, int64_t mediaMs);
+    /** Fold one sent packet's transit into the jitter. */
+    void onSend(int64_t sendMs, int64_t mediaMs);
 
   private:
     bool haveLast_ = false;

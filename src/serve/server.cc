@@ -629,8 +629,7 @@ Server::sessionWriter(Session &s)
             break;
         }
         if (h.type == MsgType::Data)
-            s.sender.onSend(h.payloadLen, monoMs(),
-                            static_cast<int64_t>(h.mediaTsMs));
+            s.sender.onSend(monoMs(), static_cast<int64_t>(h.mediaTsMs));
     }
 }
 

@@ -97,4 +97,18 @@ removeCheckpoint(const std::string &path)
     std::remove(path.c_str());
 }
 
+void
+markDone(const std::string &output)
+{
+    if (!output.empty())
+        support::writeFileAtomic(output + ".done", "");
+}
+
+bool
+takeDone(const std::string &output)
+{
+    return !output.empty() &&
+           std::remove((output + ".done").c_str()) == 0;
+}
+
 } // namespace m4ps::service

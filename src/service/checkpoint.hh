@@ -20,6 +20,13 @@
  * corrupt blob all mean the job simply starts from frame 0 again.
  * Writes go through a temp file + rename so a kill during
  * checkpointing never destroys the previous good checkpoint.
+ *
+ * A finished job leaves a second, empty sidecar, `<output>.done`:
+ * the worker writes it once everything the job publishes is in
+ * place, and only then deletes the checkpoint.  A kill at any instant
+ * therefore leaves a checkpoint to resume from or a record that the
+ * job is done, and the supervisor that reaps the attempt counts a
+ * recorded one as finished.
  */
 
 #ifndef M4PS_SERVICE_CHECKPOINT_HH
@@ -65,6 +72,20 @@ bool peekCheckpoint(const std::string &path, uint64_t *configHash,
 
 /** Delete the sidecar (after the job completes); missing is fine. */
 void removeCheckpoint(const std::string &path);
+
+/**
+ * Durably record that the job writing @p output has published all of
+ * it.  No-op for an empty @p output (a decode job without a report).
+ */
+void markDone(const std::string &output);
+
+/**
+ * Delete @p output's completion record.  Returns whether there was
+ * one: the supervisor calls this before each attempt, so a record
+ * from an earlier run cannot vouch for it, and again when it reaps
+ * the attempt.
+ */
+bool takeDone(const std::string &output);
 
 } // namespace m4ps::service
 

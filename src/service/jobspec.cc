@@ -166,34 +166,13 @@ applyBody(JobSpec &spec, const std::string &body)
 void
 JobSpec::validate() const
 {
-    const core::Workload &w = workload;
     auto reject = [this](const std::string &why) {
         throw ManifestError("job " + id + ": " + why);
     };
     if (id.empty())
         throw ManifestError("job id must not be empty");
-    if (w.width <= 0 || w.height <= 0 || w.width % 16 != 0 ||
-        w.height % 16 != 0)
-        reject("frame size must be positive multiples of 16, got " +
-               std::to_string(w.width) + "x" + std::to_string(w.height));
-    if (w.frames <= 0)
-        reject("frames must be >= 1");
-    if (w.numVos < 1 || w.numVos > 16)
-        reject("vos must be in [1, 16]");
-    if (w.layers != 1 && w.layers != 2)
-        reject("layers must be 1 or 2");
-    if (w.targetBps <= 0)
-        reject("bitrate must be positive");
-    if (w.gop.bFrames < 0)
-        reject("b-frames must be >= 0");
-    if (w.gop.intraPeriod < 1 ||
-        w.gop.intraPeriod % (w.gop.bFrames + 1) != 0)
-        reject("intra-period must be a positive multiple of "
-               "b-frames + 1");
-    if (w.resyncInterval < 0)
-        reject("resync-interval must be >= 0");
-    if (w.dataPartitioning && w.resyncInterval == 0)
-        reject("data-partition requires resync-interval > 0");
+    if (const std::string why = workload.whyInvalid(); !why.empty())
+        reject(why);
     if (fecMode != "off" && fecMode != "hard" && fecMode != "soft")
         reject("fec must be off, hard, or soft");
     {

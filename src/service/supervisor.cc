@@ -291,21 +291,31 @@ Supervisor::run(const std::vector<JobSpec> &specs)
 
         JsonEvent exitEv("attempt_exit");
         exitEv.str("job", t.spec.id).num("attempt", t.result.attempts);
+        if (WIFEXITED(status))
+            exitEv.num("exit_code", WEXITSTATUS(status));
+        else
+            exitEv.num("signal",
+                       WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+        // A worker killed after its completion record - the watchdog
+        // or the storm catching it on its way out - finished the job;
+        // the checkpoint it had not yet deleted goes now.
+        const bool recorded = takeDone(t.spec.output);
+        if (recorded)
+            removeCheckpoint(checkpointPath(t.spec.output));
+        if (recorded ||
+            (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerOk)) {
+            exitEv.str("class", "success");
+            log_.emit(exitEv);
+            t.isProbe = false;
+            breaker.recordSuccess();
+            finishJob(t,
+                      t.result.degradeLevel > 0 ? JobOutcome::Degraded
+                                                : JobOutcome::Completed,
+                      JobErrorKind::None);
+            return;
+        }
         if (WIFEXITED(status)) {
             const int code = WEXITSTATUS(status);
-            exitEv.num("exit_code", code);
-            if (code == kWorkerOk) {
-                exitEv.str("class", "success");
-                log_.emit(exitEv);
-                t.isProbe = false;
-                breaker.recordSuccess();
-                finishJob(t,
-                          t.result.degradeLevel > 0
-                              ? JobOutcome::Degraded
-                              : JobOutcome::Completed,
-                          JobErrorKind::None);
-                return;
-            }
             const JobErrorKind err =
                 code == kWorkerUsage ? JobErrorKind::BadConfig
                 : code == kWorkerPermanent
@@ -330,17 +340,18 @@ Supervisor::run(const std::vector<JobSpec> &specs)
         }
         // Signaled: a watchdog or storm kill we initiated, or a
         // genuine crash (SIGSEGV, SIGABRT from an injected fault).
-        const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
         const JobErrorKind err =
             killReason != JobErrorKind::None ? killReason
                                              : JobErrorKind::WorkerCrash;
-        exitEv.num("signal", sig).str("class", jobErrorName(err));
+        exitEv.str("class", jobErrorName(err));
         log_.emit(exitEv);
         scheduleRetry(t, err, now);
     };
 
     auto spawn = [&](Tracked &t, int64_t now) {
         ++t.result.attempts;
+        // Only this attempt may vouch for itself (checkpoint.hh).
+        takeDone(t.spec.output);
         if (isEncodeLike(t.spec) && t.spec.checkpoint &&
             t.result.attempts > 1) {
             uint64_t hash = 0;

@@ -20,7 +20,9 @@
  *    coarse quantizer) before being retried - a cheaper encode that
  *    finishes beats a perfect one that never does;
  *  - encode attempts resume from their checkpoint sidecar, so work
- *    done before a kill is never repaid;
+ *    done before a kill is never repaid, and an attempt killed after
+ *    writing its completion record (service/checkpoint.hh) counts as
+ *    finished;
  *  - a seeded kill-storm can randomly SIGKILL running workers to
  *    drill exactly these paths (storm kills do not count against
  *    the deadline-degradation ladder).

@@ -28,22 +28,12 @@ namespace m4ps::service
 namespace
 {
 
-/** Environment fault-injection override; @p fallback from the spec. */
-int
-envVopTrigger(const char *name, int fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::atoi(v);
-}
-
 /** Fire an injected fault when the VOP count crossed its trigger. */
 void
 maybeInjectFault(const JobSpec &spec, int vopsBefore, int vopsAfter)
 {
-    const int crashAt = envVopTrigger("M4PS_CRASH_AT", spec.crashAtVop);
-    const int hangAt = envVopTrigger("M4PS_HANG_AT", spec.hangAtVop);
+    const int crashAt = spec.crashAtVop;
+    const int hangAt = spec.hangAtVop;
     if (crashAt >= 0 && vopsBefore < crashAt && crashAt <= vopsAfter) {
         std::fprintf(stderr, "worker %s: injected crash at vop %d\n",
                      spec.id.c_str(), crashAt);
@@ -59,7 +49,9 @@ maybeInjectFault(const JobSpec &spec, int vopsBefore, int vopsAfter)
 
 /**
  * Encode the spec's workload, checkpointing after every frame time.
- * Returns the finished (FEC-framed when the spec asks) stream.
+ * Returns the finished (FEC-framed when the spec asks) stream.  The
+ * checkpoint outlives the published output: runJob() deletes it only
+ * after the job's completion record is written.
  */
 std::vector<uint8_t>
 encodeSupervised(const JobSpec &spec)
@@ -96,8 +88,6 @@ encodeSupervised(const JobSpec &spec)
         stream = fec::protect(stream, spec.fecConfig());
     }
     support::writeFileAtomic(spec.output, stream.data(), stream.size());
-    if (spec.checkpoint)
-        removeCheckpoint(ckpt);
     return stream;
 }
 
@@ -200,6 +190,12 @@ runJob(const JobSpec &spec)
         const perfctr::Counts hw = perf.stop();
         if (spec.perf && !spec.reportOut.empty())
             writeJobPerfReport(spec, hw);
+        // Everything the job publishes is in place: record that, and
+        // only then drop the checkpoint.  A kill at any instant leaves
+        // one of the two behind, so no retry repays the whole job.
+        markDone(spec.output);
+        if (spec.type != JobType::Decode && spec.checkpoint)
+            removeCheckpoint(checkpointPath(spec.output));
         return kWorkerOk;
     } catch (const ManifestError &e) {
         std::fprintf(stderr, "worker %s: bad spec: %s\n",

@@ -17,12 +17,16 @@
  *   3  permanent job failure     -> permanent (e.g. missing input)
  *   other exits and any signal   -> transient (WorkerCrash)
  *
- * Fault injection for tests and drills: `crash-at=<N>` / `hang-at=<N>`
- * spec keys, or the M4PS_CRASH_AT / M4PS_HANG_AT environment
- * variables (which win over the spec), abort or hang the worker the
- * first time its encoded-VOP count crosses N.  The trigger fires
- * after that frame's checkpoint is written, so a resumed attempt
- * starts beyond the trigger and does not fire it again.
+ * A job that succeeds writes its completion record
+ * (`<output>.done`, service/checkpoint.hh) after everything it
+ * publishes and before it deletes its checkpoint, so a kill between
+ * the last write and the exit costs the supervisor nothing.
+ *
+ * Fault injection for tests and drills: the `crash-at=<N>` /
+ * `hang-at=<N>` spec keys abort or hang the worker the first time its
+ * encoded-VOP count crosses N.  The trigger fires after that frame's
+ * checkpoint is written, so a resumed attempt starts beyond the
+ * trigger and does not fire it again.
  */
 
 #ifndef M4PS_SERVICE_WORKER_HH

@@ -165,7 +165,7 @@ TEST_P(KernelEquivalence, SadRows)
     }
 }
 
-TEST_P(KernelEquivalence, PredictInterpAverageCopyRows)
+TEST_P(KernelEquivalence, PredictInterpAverageRows)
 {
     const kn::KernelOps &s = simd();
     const kn::KernelOps &r = ref();
@@ -210,20 +210,7 @@ TEST_P(KernelEquivalence, PredictInterpAverageCopyRows)
         r.avgRow(e0.data(), e1.data(), n, wa.data());
         s.avgRow(e0.data(), e1.data(), n, ga.data());
         EXPECT_EQ(wa, ga) << "avgRow n=" << n;
-
-        std::vector<uint8_t> wc(n), gc(n);
-        r.copyRow(e0.data(), n, wc.data());
-        s.copyRow(e0.data(), n, gc.data());
-        EXPECT_EQ(wc, gc) << "copyRow n=" << n;
-
-        EXPECT_EQ(r.ssdRow(e0.data(), e1.data(), n),
-                  s.ssdRow(e0.data(), e1.data(), n))
-            << "ssdRow n=" << n;
     }
-    // SSD saturation extreme: all-255 vs all-0 over a long span.
-    std::vector<uint8_t> hi(1024, 255), lo(1024, 0);
-    EXPECT_EQ(r.ssdRow(hi.data(), lo.data(), 1024),
-              s.ssdRow(hi.data(), lo.data(), 1024));
 }
 
 TEST_P(KernelEquivalence, DctAndIdct)

@@ -299,17 +299,15 @@ TEST(ServeQueue, SenderJitterTracksTransitVariance)
     // Constant transit: jitter stays at zero.
     SenderState steady;
     for (int i = 0; i < 20; ++i)
-        steady.onSend(100, 1000 + i * 40, i * 40);
+        steady.onSend(1000 + i * 40, i * 40);
     EXPECT_DOUBLE_EQ(steady.jitterMs, 0.0);
-    EXPECT_EQ(steady.packets, 20u);
-    EXPECT_EQ(steady.bytes, 2000u);
 
     // Alternating transit: the RFC 3550 EWMA converges toward the
     // interarrival delta, never diverges.
     SenderState jittery;
     for (int i = 0; i < 64; ++i) {
         const int64_t wobble = (i % 2) ? 12 : 0;
-        jittery.onSend(100, 1000 + i * 40 + wobble, i * 40);
+        jittery.onSend(1000 + i * 40 + wobble, i * 40);
     }
     EXPECT_GT(jittery.jitterMs, 4.0);
     EXPECT_LT(jittery.jitterMs, 12.0);
@@ -777,6 +775,32 @@ TEST(Serve, MalformedAndAbsentRequestsGetStructuredVerdicts)
     server.stop();
     EXPECT_EQ(server.stats().badRequests, 2u);
     EXPECT_EQ(server.stats().idleTimeouts, 1u);
+}
+
+TEST(Serve, UnrunnableWorkloadIsBadRequestAndTheDaemonServesOn)
+{
+    ServerConfig cfg = tinyServerConfig();
+    Server server(cfg);
+    server.start();
+
+    // A negative search range parses, but the codec's configuration
+    // asserts reject it: it must be refused before it reaches them,
+    // or the whole daemon aborts with it.
+    const ClientResult bad = runClientSession(
+        server.endpoint(),
+        "type=encode width=64 height=64 frames=1 search-range=-1");
+    ASSERT_TRUE(bad.gotFinal) << bad.error;
+    EXPECT_EQ(bad.finalStatus, Status::BadRequest) << bad.statusJson;
+
+    const ClientResult good =
+        runClientSession(server.endpoint(), kTinySpec);
+    ASSERT_TRUE(good.gotFinal) << good.error;
+    EXPECT_EQ(good.finalStatus, Status::Ok) << good.statusJson;
+    EXPECT_EQ(good.stream, directEncode(kTinySpec));
+
+    server.stop();
+    EXPECT_EQ(server.stats().badRequests, 1u);
+    EXPECT_EQ(server.stats().completed, 1u);
 }
 
 /** Poll until the daemon has no active session (cap @p capMs). */

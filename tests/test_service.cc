@@ -187,6 +187,21 @@ TEST(JobSpec, FecKeysAreValidated)
     EXPECT_NO_THROW(spec.validate());
 }
 
+TEST(JobSpec, RateAndSearchRangesAreValidated)
+{
+    // The codec's configuration asserts abort the process on each of
+    // these, so validate() must reject them first.
+    for (const char *bad : {"frame-rate=0", "frame-rate=nan",
+                            "search-range=-1", "search-range-b=-1"}) {
+        const JobSpec spec =
+            parseSpecLine("v", std::string("out=x ") + bad);
+        EXPECT_THROW(spec.validate(), ManifestError) << bad;
+    }
+    EXPECT_NO_THROW(parseSpecLine("v", "out=x frame-rate=25 "
+                                       "search-range=0 search-range-b=0")
+                        .validate());
+}
+
 TEST(JobSpec, EffectiveClassDefaultsToTypeName)
 {
     JobSpec spec;

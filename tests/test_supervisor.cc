@@ -9,11 +9,13 @@
  * These tests use the in-process worker mode (empty workerPath): the
  * supervisor forks and the child calls service::runJob directly.
  * Process isolation, signal delivery, and reaping are identical to
- * the exec'ing path used by m4ps_batch.
+ * the exec'ing path used by m4ps_batch, which one test takes to wrap
+ * the real m4ps_worker in a script.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 
 #include <cerrno>
@@ -78,7 +80,15 @@ tinyEncode(const std::string &dir, const std::string &id)
     // test runs so every test starts from a cold state.
     std::remove(spec.output.c_str());
     removeCheckpoint(checkpointPath(spec.output));
+    takeDone(spec.output);
     return spec;
+}
+
+bool
+exists(const std::string &path)
+{
+    struct stat st{};
+    return ::stat(path.c_str(), &st) == 0;
 }
 
 std::vector<uint8_t>
@@ -184,6 +194,51 @@ TEST(Supervisor, CrashedEncodeResumesAndMatchesUninterruptedRun)
     const std::vector<uint8_t> reference =
         core::ExperimentRunner::encodeUntraced(spec.workload);
     EXPECT_EQ(readAll(spec.output), reference);
+    expectNoChildren();
+}
+
+TEST(Supervisor, WorkerKilledAfterFinishingCountsAsDone)
+{
+    // The real worker, then a linger past the deadline: every attempt
+    // publishes its output and is then killed by the watchdog, as a
+    // worker is when its exit is slow (TSan sleeps a second inside
+    // _exit).  Counting such a kill as a failure would re-encode the
+    // job from frame 0 on every retry, its checkpoint being gone.
+    const std::string dir = testing::TempDir();
+    const std::string script = dir + "sup_linger_worker.sh";
+    {
+        std::FILE *f = std::fopen(script.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fprintf(f, "#!/bin/sh\n\"%s\" \"$@\" || exit $?\n"
+                        "exec sleep 60\n",
+                     M4PS_WORKER_BIN);
+        std::fclose(f);
+        ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+    }
+    JobSpec spec = tinyEncode(dir, "sup_linger");
+    // Fake-clock milliseconds: at least 2 s of real time to finish.
+    spec.deadlineMs = 4000;
+    spec.retries = 2;
+
+    SupervisorConfig cfg = fastConfig();
+    cfg.workerPath = script;
+    TickClock clock;
+    clock.install(cfg);
+    EventLog log;
+    Supervisor sup(cfg, log);
+    const BatchResult batch = sup.run({spec});
+
+    ASSERT_EQ(batch.jobs.size(), 1u);
+    EXPECT_EQ(batch.jobs[0].outcome, JobOutcome::Completed);
+    EXPECT_EQ(batch.jobs[0].lastError, JobErrorKind::None);
+    // Every attempt lingers, so every attempt ends in a kill.
+    EXPECT_EQ(log.count("watchdog_kill"), batch.jobs[0].attempts);
+    EXPECT_EQ(readAll(spec.output),
+              core::ExperimentRunner::encodeUntraced(spec.workload));
+    // The supervisor consumed the completion record, and nothing is
+    // left to resume.
+    EXPECT_FALSE(exists(spec.output + ".done"));
+    EXPECT_FALSE(exists(checkpointPath(spec.output)));
     expectNoChildren();
 }
 

@@ -225,7 +225,8 @@ runMain(int argc, char **argv)
     wl.resyncInterval = args.getInt("resync-interval", 0);
     wl.dataPartitioning = args.getBool("data-partition");
     wl.name = "cli";
-    wl.validate();
+    if (const std::string why = wl.whyInvalid(); !why.empty())
+        throw ArgError(why);
 
     // Channel and FEC flags.  A value outside its domain is a usage
     // error (exit 2 via ArgError), never a fatal abort - same
