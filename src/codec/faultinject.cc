@@ -121,7 +121,7 @@ injectFaults(std::vector<uint8_t> stream, const FaultSpec &spec)
 }
 
 size_t
-protectableHeaderBytes(const std::vector<uint8_t> &stream)
+protectableHeaderBytes(std::span<const uint8_t> stream)
 {
     for (const StreamSection &s : parseSections(stream)) {
         if (bits::isVopCode(s.code))

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace m4ps::codec
@@ -88,7 +89,7 @@ std::vector<uint8_t> injectFaults(std::vector<uint8_t> stream,
  * prefix a modelled transport would protect.  Returns the stream
  * size if no VOP is found.
  */
-size_t protectableHeaderBytes(const std::vector<uint8_t> &stream);
+size_t protectableHeaderBytes(std::span<const uint8_t> stream);
 
 } // namespace m4ps::codec
 

@@ -41,7 +41,7 @@ plausibleVopHeader(const uint8_t *payload, size_t size, int &vo_id,
 } // namespace
 
 std::vector<StreamSection>
-parseSections(const std::vector<uint8_t> &stream)
+parseSections(std::span<const uint8_t> stream)
 {
     std::vector<StreamSection> sections;
     bool seen_vop = false;

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace m4ps::codec
@@ -34,7 +35,7 @@ struct StreamSection
 
 /** Parse the startcode-delimited section structure of a stream. */
 std::vector<StreamSection> parseSections(
-    const std::vector<uint8_t> &stream);
+    std::span<const uint8_t> stream);
 
 /**
  * Keep only VOPs and VOL headers of layers <= @p max_vol_id,

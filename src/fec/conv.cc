@@ -51,104 +51,25 @@ nextState(const ConvCode &code, int state, int u)
     return static_cast<int>(window(state, u, code.k) >> 1);
 }
 
-// ------------------------------------------------------------------
-// Shift-register variant: the executable specification.
-// ------------------------------------------------------------------
-
-ShiftRegisterEncoder::ShiftRegisterEncoder(const ConvCode &code)
-    : code_(code)
-{}
-
 void
-ShiftRegisterEncoder::encodeBit(int u, std::vector<uint8_t> &out)
+convEncode(const ConvCode &code, const uint8_t *bytes, size_t n,
+           std::vector<uint8_t> &coded)
 {
-    const uint8_t b = branchBits(code_, state_, u);
-    out.push_back(b & 1);
-    out.push_back((b >> 1) & 1);
-    state_ = nextState(code_, state_, u);
-}
-
-void
-ShiftRegisterEncoder::encodeBits(const uint8_t *bits, size_t n,
-                                 std::vector<uint8_t> &out)
-{
-    out.reserve(out.size() + 2 * n);
-    for (size_t i = 0; i < n; ++i)
-        encodeBit(bits[i] & 1, out);
-}
-
-void
-ShiftRegisterEncoder::flush(std::vector<uint8_t> &out)
-{
-    for (int i = 0; i < code_.tailBits(); ++i)
-        encodeBit(0, out);
-}
-
-// ------------------------------------------------------------------
-// Lookup variant: one table row per (state, input byte).
-// ------------------------------------------------------------------
-
-LookupEncoder::LookupEncoder(const ConvCode &code) : code_(code)
-{
-    const int states = code.numStates();
-    table_.resize(static_cast<size_t>(states) * 256);
-    for (int s = 0; s < states; ++s) {
-        for (int byte = 0; byte < 256; ++byte) {
-            uint16_t coded = 0;
-            int st = s;
-            for (int bit = 7; bit >= 0; --bit) {
-                const int u = (byte >> bit) & 1;
-                const uint8_t b = branchBits(code, st, u);
-                // First pair lands at the MSB end so output order
-                // matches bit-serial encoding.
-                coded = static_cast<uint16_t>(
-                    (coded << 2) | ((b & 1) << 1) | ((b >> 1) & 1));
-                st = nextState(code, st, u);
-            }
-            table_[static_cast<size_t>(s) * 256 + byte] = {
-                coded, static_cast<uint8_t>(st)};
-        }
+    coded.resize(2 * (8 * n + static_cast<size_t>(code.tailBits())));
+    uint8_t *out = coded.data();
+    int state = 0;
+    auto clock = [&](int u) {
+        const uint8_t b = branchBits(code, state, u);
+        *out++ = b & 1;
+        *out++ = b >> 1;
+        state = nextState(code, state, u);
+    };
+    for (size_t i = 0; i < n; ++i) {
+        for (int bit = 7; bit >= 0; --bit)
+            clock((bytes[i] >> bit) & 1);
     }
-}
-
-void
-LookupEncoder::encodeByte(uint8_t byte, std::vector<uint8_t> &out)
-{
-    const Entry &e = table_[static_cast<size_t>(state_) * 256 + byte];
-    for (int i = 15; i >= 0; --i)
-        out.push_back(static_cast<uint8_t>((e.coded >> i) & 1));
-    state_ = e.next;
-}
-
-void
-LookupEncoder::encodeBytes(const uint8_t *bytes, size_t n,
-                           std::vector<uint8_t> &out)
-{
-    out.reserve(out.size() + 16 * n);
-    for (size_t i = 0; i < n; ++i)
-        encodeByte(bytes[i], out);
-}
-
-void
-LookupEncoder::flush(std::vector<uint8_t> &out)
-{
-    // The tail is k-1 < 8 bits, so it is clocked bit-serially.
-    for (int i = 0; i < code_.tailBits(); ++i) {
-        const uint8_t b = branchBits(code_, state_, 0);
-        out.push_back(b & 1);
-        out.push_back((b >> 1) & 1);
-        state_ = nextState(code_, state_, 0);
-    }
-}
-
-std::vector<uint8_t>
-convEncodeBytes(const ConvCode &code, const uint8_t *bytes, size_t n)
-{
-    LookupEncoder enc(code);
-    std::vector<uint8_t> out;
-    enc.encodeBytes(bytes, n, out);
-    enc.flush(out);
-    return out;
+    for (int i = 0; i < code.tailBits(); ++i)
+        clock(0);
 }
 
 } // namespace m4ps::fec

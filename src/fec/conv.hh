@@ -10,13 +10,10 @@
  * polynomial.  The default is the ubiquitous K=7 {171, 133} (octal)
  * code (Voyager, 802.11, DVB), decoded by fec::ViterbiDecoder.
  *
- * Two encoder variants share one definition of the code (mirroring
- * the ViterbiDecoderCpp exemplar's shift-register and lookup
- * encoders): the shift-register form clocks one bit at a time and is
- * the executable specification; the lookup form precomputes, per
- * (state, input byte), the 16 output bits and the next state, and is
- * what the framing layer uses on whole-byte payloads.  Both produce
- * identical output by construction and by test (tests/test_fec.cc).
+ * There is one encoder, convEncode(), which clocks a block through
+ * the shift register one bit at a time.  tests/test_fec.cc keeps a
+ * separate shift-register encoder as its reference and pins the two
+ * equal.
  */
 
 #ifndef M4PS_FEC_CONV_HH
@@ -66,64 +63,14 @@ uint8_t branchBits(const ConvCode &code, int state, int u);
 int nextState(const ConvCode &code, int state, int u);
 
 /**
- * Bit-serial reference encoder.  Feed bits (values 0/1); every input
- * bit appends its g1 then g2 parity to the output.  flush() appends
- * the k-1 zero tail returning the register to state 0.
+ * Encode @p n bytes (bits MSB first) from state 0, then the k-1 zero
+ * tail that returns the register to state 0.  @p coded is resized to
+ * 2 * (8n + k-1) and holds one coded bit (0/1) per element, the g1
+ * then the g2 parity of each input bit: the mother-code positions the
+ * wire walk (fec/interleave.hh) reads.
  */
-class ShiftRegisterEncoder
-{
-  public:
-    explicit ShiftRegisterEncoder(const ConvCode &code);
-
-    void reset() { state_ = 0; }
-    void encodeBit(int u, std::vector<uint8_t> &out);
-    void encodeBits(const uint8_t *bits, size_t n,
-                    std::vector<uint8_t> &out);
-    void flush(std::vector<uint8_t> &out);
-    int state() const { return state_; }
-
-  private:
-    ConvCode code_;
-    int state_ = 0;
-};
-
-/**
- * Byte-at-a-time lookup encoder: one table row per (state, byte)
- * holds the 16 output bits and the successor state, so encoding a
- * payload costs one table read per byte.  Bytes are consumed MSB
- * first, matching the bit order of the framing layer.
- */
-class LookupEncoder
-{
-  public:
-    explicit LookupEncoder(const ConvCode &code);
-
-    void reset() { state_ = 0; }
-    void encodeByte(uint8_t byte, std::vector<uint8_t> &out);
-    void encodeBytes(const uint8_t *bytes, size_t n,
-                     std::vector<uint8_t> &out);
-    /** Tail flush is bit-serial; tails are k-1 < 8 bits. */
-    void flush(std::vector<uint8_t> &out);
-    int state() const { return state_; }
-
-  private:
-    struct Entry
-    {
-        uint16_t coded;    //!< 16 output bits, first pair at MSB.
-        uint8_t next;      //!< Successor state.
-    };
-
-    ConvCode code_;
-    std::vector<Entry> table_; //!< numStates x 256.
-    int state_ = 0;
-};
-
-/**
- * Convenience: encode @p bytes (MSB-first bits) plus the zero tail,
- * returning one coded bit (0/1) per output element.
- */
-std::vector<uint8_t> convEncodeBytes(const ConvCode &code,
-                                     const uint8_t *bytes, size_t n);
+void convEncode(const ConvCode &code, const uint8_t *bytes, size_t n,
+                std::vector<uint8_t> &coded);
 
 } // namespace m4ps::fec
 

@@ -56,17 +56,6 @@ getLe32(const uint8_t *p)
            (static_cast<uint32_t>(p[3]) << 24);
 }
 
-/** Bits (values 0/1, MSB first) to bytes; n must be a multiple of 8. */
-std::vector<uint8_t>
-packBits(const std::vector<uint8_t> &bits)
-{
-    std::vector<uint8_t> out(bits.size() / 8, 0);
-    for (size_t i = 0; i < out.size() * 8; ++i)
-        out[i / 8] = static_cast<uint8_t>(
-            (out[i / 8] << 1) | (bits[i] & 1));
-    return out;
-}
-
 /** Coded-symbol count on the wire for one block's payload. */
 size_t
 blockSymbolCount(uint32_t payload_bytes, const ConvCode &code,
@@ -172,9 +161,7 @@ parseLayout(std::span<const uint8_t> framed)
 /** Decode buffers, reused from block to block. */
 struct BlockScratch
 {
-    std::vector<uint8_t> wire;  //!< Wire symbols, erasures if cut off.
-    std::vector<uint8_t> deint; //!< The punctured stream, in order.
-    std::vector<uint8_t> full;  //!< Depunctured: two per trellis step.
+    std::vector<uint8_t> full; //!< Trellis input: two per step.
     std::vector<uint64_t> decisions;
     std::vector<uint8_t> bytes; //!< Payload, then the CRC trailer.
 };
@@ -200,22 +187,30 @@ decodeBlock(std::span<const uint8_t> framed, const FrameLayout &lay,
     const size_t syms =
         blockSymbolCount(b.payloadBytes, lay.code, lay.rate);
 
-    // Wire bytes -> offset-LLR symbols, erasures where cut off.
-    s.wire.assign(syms, kSymErased);
-    const uint8_t *w = framed.data() + b.wireOffset;
+    // Received symbols go straight to their trellis positions as
+    // offset-LLR symbols; punctured and cut-off positions stay erased.
+    s.full.assign(2 * steps, kSymErased);
+    const uint8_t *wire = framed.data() + b.wireOffset;
+    uint8_t *full = s.full.data();
     if (lay.form == WireForm::PackedHard) {
         const size_t present = std::min(syms, 8 * b.avail);
-        for (size_t i = 0; i < present; ++i)
-            s.wire[i] =
-                (w[i / 8] >> (7 - i % 8)) & 1 ? kSymOne : kSymZero;
+        forEachWireRun(syms, lay.depth, lay.rate,
+                       [&](size_t w, size_t m, size_t n) {
+                           for (const size_t end = std::min(w + n, present);
+                                w < end; ++w, ++m)
+                               full[m] = (wire[w / 8] >> (7 - w % 8)) & 1
+                                             ? kSymOne
+                                             : kSymZero;
+                       });
     } else {
-        std::copy(w, w + b.avail, s.wire.begin());
+        forEachWireRun(syms, lay.depth, lay.rate,
+                       [&](size_t w, size_t m, size_t n) {
+                           if (w < b.avail)
+                               std::copy_n(wire + w,
+                                           std::min(n, b.avail - w),
+                                           full + m);
+                       });
     }
-    s.deint.resize(syms);
-    deinterleave(s.wire.data(), syms, lay.depth, s.deint.data());
-    s.full.resize(2 * steps);
-    depuncture(s.deint.data(), syms, 2 * steps, lay.rate, kSymErased,
-               s.full.data());
 
     s.decisions.resize(steps);
     s.bytes.resize(infoBits / 8);
@@ -234,30 +229,41 @@ decodeBlock(std::span<const uint8_t> framed, const FrameLayout &lay,
 } // namespace
 
 std::vector<uint8_t>
-protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
+protect(std::span<const uint8_t> stream, const FecConfig &cfg)
 {
-    const size_t cleartext = codec::protectableHeaderBytes(stream);
     const auto sections = codec::parseSections(stream);
+    // The cleartext prefix, protectableHeaderBytes(): everything
+    // before the first VOP section.
+    size_t cleartext = stream.size();
+    for (const auto &s : sections) {
+        if (bits::isVopCode(s.code)) {
+            cleartext = s.offset;
+            break;
+        }
+    }
+    // The depth the header can record is the depth the walk uses.
+    const int depth = std::clamp(cfg.interleaveDepth, 0, 0xffff);
+    const WireForm form = cfg.wireForm();
 
     std::vector<uint8_t> out;
     out.reserve(kHeaderSize + stream.size() * 2);
     for (uint8_t m : kMagic)
         out.push_back(m);
     out.push_back(kVersion);
-    out.push_back(static_cast<uint8_t>(cfg.wireForm()));
+    out.push_back(static_cast<uint8_t>(form));
     out.push_back(static_cast<uint8_t>(cfg.rate));
     out.push_back(static_cast<uint8_t>(cfg.code.k));
     out.push_back(cfg.code.g1);
     out.push_back(cfg.code.g2);
-    putLe16(out, static_cast<uint16_t>(
-                     std::clamp(cfg.interleaveDepth, 0, 0xffff)));
+    putLe16(out, static_cast<uint16_t>(depth));
     putLe32(out, static_cast<uint32_t>(cleartext));
     const size_t blockCountPos = out.size();
     putLe32(out, 0); // Block count, patched below.
     putLe32(out, 0); // Header CRC, patched below.
     out.insert(out.end(), stream.begin(), stream.begin() + cleartext);
 
-    LookupEncoder enc(cfg.code);
+    std::vector<uint8_t> block; //!< Payload, then the CRC trailer.
+    std::vector<uint8_t> coded; //!< One bit per mother-code position.
     uint32_t blockCount = 0;
     int vopCount = 0;
     uint16_t curVop = kNoVop;
@@ -267,30 +273,34 @@ protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
         if (bits::isVopCode(s.code))
             curVop = static_cast<uint16_t>(vopCount++);
 
-        // payload | CRC-32 trailer, then encode + flush to state 0.
-        std::vector<uint8_t> buf(stream.begin() + s.offset,
-                                 stream.begin() + s.offset + s.size);
-        putLe32(buf, support::crc32(buf.data(), buf.size()));
-        enc.reset();
-        std::vector<uint8_t> bits;
-        enc.encodeBytes(buf.data(), buf.size(), bits);
-        enc.flush(bits);
-
-        std::vector<uint8_t> wire =
-            interleave(puncture(bits, cfg.rate), cfg.interleaveDepth);
+        block.assign(stream.begin() + s.offset,
+                     stream.begin() + s.offset + s.size);
+        putLe32(block, support::crc32(block.data(), block.size()));
+        convEncode(cfg.code, block.data(), block.size(), coded);
+        const size_t syms = puncturedSize(coded.size(), cfg.rate);
 
         out.push_back(s.code);
         putLe16(out, curVop);
         putLe32(out, static_cast<uint32_t>(s.size));
-        if (cfg.wireForm() == WireForm::PackedHard) {
-            // Pad the last wire byte with zero bits.
-            wire.resize((wire.size() + 7) / 8 * 8, 0);
-            const auto packed = packBits(wire);
-            out.insert(out.end(), packed.begin(), packed.end());
+        const size_t at = out.size();
+        out.resize(at + blockWireBytes(syms, form), 0);
+        uint8_t *wire = out.data() + at;
+        if (form == WireForm::PackedHard) {
+            // Zero bits pad the last wire byte.
+            forEachWireRun(syms, depth, cfg.rate,
+                           [&](size_t w, size_t m, size_t n) {
+                               for (const size_t end = w + n; w < end;
+                                    ++w, ++m)
+                                   wire[w / 8] |= static_cast<uint8_t>(
+                                       coded[m] << (7 - w % 8));
+                           });
         } else {
-            for (uint8_t &sym : wire)
-                sym = sym ? kSymOne : kSymZero;
-            out.insert(out.end(), wire.begin(), wire.end());
+            forEachWireRun(syms, depth, cfg.rate,
+                           [&](size_t w, size_t m, size_t n) {
+                               for (size_t i = 0; i < n; ++i)
+                                   wire[w + i] =
+                                       coded[m + i] ? kSymOne : kSymZero;
+                           });
         }
         ++blockCount;
     }

@@ -112,7 +112,7 @@ struct RecoverResult
 };
 
 /** Frame @p stream as described above.  Pure function of inputs. */
-std::vector<uint8_t> protect(const std::vector<uint8_t> &stream,
+std::vector<uint8_t> protect(std::span<const uint8_t> stream,
                              const FecConfig &cfg);
 
 /**

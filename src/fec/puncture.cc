@@ -1,7 +1,5 @@
 #include "fec/puncture.hh"
 
-#include <algorithm>
-
 namespace m4ps::fec
 {
 
@@ -64,46 +62,6 @@ puncturedSize(size_t coded_bits, Rate r)
     for (size_t i = periods * p.period; i < coded_bits; ++i)
         n += p.keep[i % p.period];
     return n;
-}
-
-std::vector<uint8_t>
-puncture(const std::vector<uint8_t> &coded, Rate r)
-{
-    const PuncturePattern &p = puncturePattern(r);
-    std::vector<uint8_t> out;
-    out.reserve(puncturedSize(coded.size(), r));
-    for (size_t i = 0; i < coded.size(); ++i) {
-        if (p.keep[i % p.period])
-            out.push_back(coded[i]);
-    }
-    return out;
-}
-
-void
-depuncture(const uint8_t *kept, size_t n_kept, size_t coded_bits,
-           Rate r, uint8_t erased, uint8_t *out)
-{
-    const PuncturePattern &p = puncturePattern(r);
-    std::fill(out, out + coded_bits, erased);
-    size_t src = 0;
-    for (size_t base = 0; base < coded_bits && src < n_kept;
-         base += p.period) {
-        for (int i = 0; i < p.period && base + i < coded_bits &&
-                        src < n_kept;
-             ++i) {
-            if (p.keep[i])
-                out[base + i] = kept[src++];
-        }
-    }
-}
-
-std::vector<uint8_t>
-depuncture(const uint8_t *kept, size_t n_kept, size_t coded_bits,
-           Rate r, uint8_t erased)
-{
-    std::vector<uint8_t> out(coded_bits);
-    depuncture(kept, n_kept, coded_bits, r, erased, out.data());
-    return out;
 }
 
 } // namespace m4ps::fec

@@ -12,7 +12,9 @@
  *     rate 3/4: period 6 coded bits, keep 110110
  *
  * written over the coded-bit stream g1 g2 g1 g2 ..., one period per
- * 2 / 3 information bits.  Rate 1/2 is the identity pattern.
+ * 2 / 3 information bits.  Rate 1/2 is the identity pattern.  Which
+ * positions survive, and where each lands on the wire, is walked by
+ * forEachWireRun() (fec/interleave.hh) in both directions.
  */
 
 #ifndef M4PS_FEC_PUNCTURE_HH
@@ -21,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace m4ps::fec
 {
@@ -54,23 +55,6 @@ const PuncturePattern &puncturePattern(Rate r);
 
 /** Surviving bit count after puncturing @p coded_bits positions. */
 size_t puncturedSize(size_t coded_bits, Rate r);
-
-/** Delete the punctured positions of a coded bit/symbol stream. */
-std::vector<uint8_t> puncture(const std::vector<uint8_t> &coded,
-                              Rate r);
-
-/**
- * Re-expand @p kept punctured symbols to the full @p coded_bits
- * mother-code positions, filling deleted positions with @p erased.
- * Missing trailing symbols (truncated input) also become @p erased.
- */
-std::vector<uint8_t> depuncture(const uint8_t *kept, size_t n_kept,
-                                size_t coded_bits, Rate r,
-                                uint8_t erased);
-
-/** depuncture() into @p out, which holds @p coded_bits symbols. */
-void depuncture(const uint8_t *kept, size_t n_kept, size_t coded_bits,
-                Rate r, uint8_t erased, uint8_t *out);
 
 } // namespace m4ps::fec
 

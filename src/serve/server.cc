@@ -652,9 +652,7 @@ Server::stageData(Session &s, const uint8_t *data, size_t n,
         const size_t chunk = std::min(cfg_.mtuBytes, n - off);
         std::vector<uint8_t> payload;
         if (fecCfg != nullptr)
-            payload = fec::protect(
-                std::vector<uint8_t>(data + off, data + off + chunk),
-                *fecCfg);
+            payload = fec::protect({data + off, chunk}, *fecCfg);
         else
             payload.assign(data + off, data + off + chunk);
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/args.hh"
 #include "support/serialize.hh"
 
 namespace m4ps::service
@@ -26,12 +27,11 @@ namespace
 int
 parseInt(const std::string &key, const std::string &v)
 {
-    char *end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
-        throw ManifestError("key " + key + " expects an integer, got '" +
-                            v + "'");
-    return static_cast<int>(n);
+    const std::optional<int> n = m4ps::parseInt(v);
+    if (!n)
+        throw ManifestError("key " + key +
+                            " expects a 32-bit integer, got '" + v + "'");
+    return *n;
 }
 
 double
@@ -220,7 +220,9 @@ JobSpec::toSpecLine() const
     os << " half-pel=" << (w.halfPel ? 1 : 0);
     os << " 4mv=" << (w.fourMv ? 1 : 0);
     os << " mpeg-quant=" << (w.mpegQuant ? 1 : 0);
-    os << " seed=" << w.seed;
+    // The seed key is read as an int and widened, so a negative seed
+    // is written back as itself for the line to parse to this seed.
+    os << " seed=" << static_cast<int64_t>(w.seed);
     os << " resync-interval=" << w.resyncInterval;
     os << " data-partition=" << (w.dataPartitioning ? 1 : 0);
     os << " initial-qp=" << w.initialQp;

@@ -1,6 +1,8 @@
 #include "support/args.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -47,6 +49,18 @@ suggestion(const std::string &flag, const std::set<std::string> &known)
 }
 
 } // namespace
+
+std::optional<int>
+parseInt(const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long n = std::strtol(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        n < INT_MIN || n > INT_MAX)
+        return std::nullopt;
+    return static_cast<int>(n);
+}
 
 int
 reportArgError(const char *prog, const ArgError &e)
@@ -106,12 +120,12 @@ ArgParser::getInt(const std::string &name, int fallback) const
     auto it = values_.find(name);
     if (it == values_.end())
         return fallback;
-    char *end = nullptr;
-    const long v = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        throw ArgError("flag --" + name + " expects an integer, got '" +
-                       it->second + "'");
-    return static_cast<int>(v);
+    const std::optional<int> v = parseInt(it->second);
+    if (!v)
+        throw ArgError("flag --" + name +
+                       " expects a 32-bit integer, got '" + it->second +
+                       "'");
+    return *v;
 }
 
 int

@@ -38,6 +38,14 @@ class ArgError : public std::runtime_error
 };
 
 /**
+ * The base-10 integer spelled by the whole of @p text (strtol syntax),
+ * or nullopt if @p text is not one or lies outside int.  Command-line
+ * flags and job-spec keys both read integers through it, so a value
+ * such as 4294967328 is an error rather than a wrapped 32.
+ */
+std::optional<int> parseInt(const std::string &text);
+
+/**
  * Catch-all main() wrapper policy: report @p e on stderr with the
  * program name and a pointer at --help, returning ArgError::kExitCode
  * for the caller to pass to exit.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "support/args.hh"
 
 namespace m4ps
@@ -105,6 +107,20 @@ TEST(ArgParser, NonNumericValuesThrow)
     EXPECT_THROW(parse({"--width", "512"}).getIntInRange("width", 1, 1,
                                                          256),
                  ArgError);
+}
+
+TEST(ArgParser, OutOfRangeIntegersThrow)
+{
+    // 4294967328 is 2^32 + 32: cast from long it would run as 32.
+    EXPECT_THROW(parse({"--width", "4294967328"}).getInt("width", 0),
+                 ArgError);
+    EXPECT_THROW(parse({"--width=-2147483649"}).getInt("width", 0),
+                 ArgError);
+    EXPECT_THROW(
+        parse({"--width", "99999999999999999999"}).getInt("width", 0),
+        ArgError);
+    EXPECT_EQ(parse({"--width", "2147483647"}).getInt("width", 0), INT_MAX);
+    EXPECT_EQ(parse({"--width=-2147483648"}).getInt("width", 0), INT_MIN);
 }
 
 TEST(ArgParser, UsageErrorsUseExitCodeTwo)

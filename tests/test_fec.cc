@@ -1,11 +1,11 @@
 /**
  * @file
- * Forward-error-correction subsystem: the convolutional encoder
- * variants must agree with each other and with the published K=7
+ * Forward-error-correction subsystem: the convolutional encoder must
+ * agree with a bit-serial reference and with the published K=7
  * {171, 133} code, the Viterbi decoder must be exact on a clean
- * channel and actually correct errors on a dirty one, puncturing and
- * interleaving must be lossless permutations of what they promise,
- * and the framing layer must round-trip an elementary stream
+ * channel and actually correct errors on a dirty one, the wire walk
+ * must be the lossless permutation puncturing and interleaving
+ * promise, and the framing layer must round-trip an elementary stream
  * byte-identically - then degrade into the concealment path, never an
  * exception, when the channel wins.
  */
@@ -15,11 +15,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 
+#include "bitstream/startcode.hh"
 #include "codec/decoder.hh"
 #include "codec/kernels/kernels.hh"
 #include "codec/faultinject.hh"
+#include "codec/streamtools.hh"
 #include "core/runner.hh"
 #include "core/workload.hh"
 #include "fec/conv.hh"
@@ -56,6 +59,99 @@ bitsToSymbols(const std::vector<uint8_t> &bits)
     for (size_t i = 0; i < bits.size(); ++i)
         syms[i] = bits[i] ? kSymOne : kSymZero;
     return syms;
+}
+
+/**
+ * Bit-serial reference encoder, the executable specification of the
+ * code: every input bit (value 0/1) appends its g1 then g2 parity to
+ * the output, and flush() appends the k-1 zero tail that returns the
+ * register to state 0.
+ */
+class ShiftRegisterEncoder
+{
+  public:
+    explicit ShiftRegisterEncoder(const ConvCode &code) : code_(code) {}
+
+    void reset() { state_ = 0; }
+
+    void encodeBit(int u, std::vector<uint8_t> &out)
+    {
+        const uint8_t b = branchBits(code_, state_, u);
+        out.push_back(b & 1);
+        out.push_back((b >> 1) & 1);
+        state_ = nextState(code_, state_, u);
+    }
+
+    void encodeBits(const uint8_t *bits, size_t n,
+                    std::vector<uint8_t> &out)
+    {
+        for (size_t i = 0; i < n; ++i)
+            encodeBit(bits[i] & 1, out);
+    }
+
+    /** Whole bytes, MSB first, as the framing layer orders bits. */
+    void encodeBytes(const uint8_t *bytes, size_t n,
+                     std::vector<uint8_t> &out)
+    {
+        for (size_t i = 0; i < n; ++i) {
+            for (int bit = 7; bit >= 0; --bit)
+                encodeBit((bytes[i] >> bit) & 1, out);
+        }
+    }
+
+    void flush(std::vector<uint8_t> &out)
+    {
+        for (int i = 0; i < code_.tailBits(); ++i)
+            encodeBit(0, out);
+    }
+
+    int state() const { return state_; }
+
+  private:
+    ConvCode code_;
+    int state_ = 0;
+};
+
+/** convEncode() into a fresh vector. */
+std::vector<uint8_t>
+encoded(const ConvCode &code, const std::vector<uint8_t> &bytes)
+{
+    std::vector<uint8_t> coded;
+    convEncode(code, bytes.data(), bytes.size(), coded);
+    return coded;
+}
+
+/** @p coded (any symbol type) punctured at @p r and interleaved at
+ *  @p depth, through the wire walk. */
+template <typename T>
+std::vector<T>
+wireOf(const std::vector<T> &coded, Rate r, int depth)
+{
+    std::vector<T> wire(puncturedSize(coded.size(), r));
+    forEachWireRun(wire.size(), depth, r,
+                   [&](size_t w, size_t m, size_t n) {
+                       std::copy_n(coded.begin() + m, n, wire.begin() + w);
+                   });
+    return wire;
+}
+
+/**
+ * The inverse through the same walk: @p wire back at its positions
+ * among @p coded_bits mother-code symbols, @p erased at punctured
+ * positions and at those of wire symbols past the end of @p wire.
+ */
+template <typename T>
+std::vector<T>
+motherOf(const std::vector<T> &wire, size_t coded_bits, Rate r, int depth,
+         T erased)
+{
+    std::vector<T> full(coded_bits, erased);
+    forEachWireRun(puncturedSize(coded_bits, r), depth, r,
+                   [&](size_t w, size_t m, size_t n) {
+                       for (size_t i = 0; i < n && w + i < wire.size(); ++i)
+                           full[m + i] = wire[w + i];
+                   });
+    return full;
 }
 
 core::Workload
@@ -105,29 +201,25 @@ TEST(Conv, ImpulseResponseMatchesPublishedPolynomials)
     EXPECT_EQ(enc.state(), 0) << "impulse has left the register";
 }
 
-TEST(Conv, LookupEncoderMatchesShiftRegister)
+TEST(Conv, EncoderMatchesShiftRegister)
 {
-    const ConvCode code;
-    const auto payload = randomBytes(257, 11);
-
-    // Bit-serial reference, MSB-first bytes.
-    ShiftRegisterEncoder ref(code);
-    std::vector<uint8_t> want;
-    for (uint8_t byte : payload) {
-        for (int bit = 7; bit >= 0; --bit)
-            ref.encodeBit((byte >> bit) & 1, want);
-    }
-    ref.flush(want);
-    EXPECT_EQ(ref.state(), 0);
-
-    LookupEncoder enc(code);
+    // Every code the frame tests protect with, from an empty block up,
+    // into one buffer reused the way protect() reuses it: a long block
+    // first, then shorter ones.
     std::vector<uint8_t> got;
-    enc.encodeBytes(payload.data(), payload.size(), got);
-    enc.flush(got);
-    EXPECT_EQ(enc.state(), 0);
-    EXPECT_EQ(got, want);
-    EXPECT_EQ(got, convEncodeBytes(code, payload.data(),
-                                   payload.size()));
+    for (const ConvCode &code :
+         {ConvCode(), ConvCode(5, 023, 035), ConvCode(3, 07, 05)}) {
+        for (size_t n : {257u, 0u, 1u, 9u, 64u}) {
+            const auto payload = randomBytes(n, 11 + n);
+            ShiftRegisterEncoder ref(code);
+            std::vector<uint8_t> want;
+            ref.encodeBytes(payload.data(), n, want);
+            ref.flush(want);
+            EXPECT_EQ(ref.state(), 0);
+            convEncode(code, payload.data(), n, got);
+            EXPECT_EQ(got, want) << "k=" << code.k << " n=" << n;
+        }
+    }
 }
 
 TEST(Conv, FlushTerminatesFromEveryState)
@@ -156,8 +248,7 @@ TEST(Viterbi, CleanChannelIsExactHardAndSoft)
     const ConvCode code;
     const ViterbiDecoder dec(code);
     const auto payload = randomBytes(96, 23);
-    const auto coded =
-        convEncodeBytes(code, payload.data(), payload.size());
+    const auto coded = encoded(code, payload);
     const auto syms = bitsToSymbols(coded);
     const size_t infoBits = payload.size() * 8;
 
@@ -181,8 +272,7 @@ TEST(Viterbi, CorrectsSpacedHardErrors)
     const ConvCode code;
     const ViterbiDecoder dec(code);
     const auto payload = randomBytes(128, 31);
-    const auto coded =
-        convEncodeBytes(code, payload.data(), payload.size());
+    const auto coded = encoded(code, payload);
     auto syms = bitsToSymbols(coded);
     int flipped = 0;
     for (size_t i = 40; i < syms.size(); i += 97) {
@@ -210,8 +300,7 @@ TEST(Viterbi, SoftDecisionUsesConfidence)
     const ConvCode code;
     const ViterbiDecoder dec(code);
     const auto payload = randomBytes(64, 47);
-    const auto coded =
-        convEncodeBytes(code, payload.data(), payload.size());
+    const auto coded = encoded(code, payload);
 
     std::vector<uint8_t> syms(coded.size());
     for (size_t i = 0; i < coded.size(); ++i)
@@ -234,20 +323,12 @@ TEST(Viterbi, ErasuresDecodeAtEveryRate)
     const ConvCode code;
     const ViterbiDecoder dec(code);
     const auto payload = randomBytes(80, 59);
-    const auto coded =
-        convEncodeBytes(code, payload.data(), payload.size());
+    const auto symbols = bitsToSymbols(encoded(code, payload));
 
     for (Rate r : {Rate::R1_2, Rate::R2_3, Rate::R3_4}) {
-        const auto kept = puncture(coded, r);
-        const auto full = depuncture(kept.data(), kept.size(),
-                                     coded.size(), r, kSymErased);
+        const auto syms = motherOf(wireOf(symbols, r, 1), symbols.size(),
+                                   r, 1, kSymErased);
         for (Decision d : {Decision::Hard, Decision::Soft}) {
-            std::vector<uint8_t> syms(full.size());
-            for (size_t i = 0; i < full.size(); ++i) {
-                syms[i] = full[i] == kSymErased
-                              ? kSymErased
-                              : (full[i] ? kSymOne : kSymZero);
-            }
             const ViterbiResult res =
                 dec.decode(syms.data(), payload.size() * 8, d);
             for (size_t i = 0; i < res.bits.size(); ++i) {
@@ -605,10 +686,20 @@ TEST(Viterbi, MatchesReferenceOnALongBlock)
 }
 
 /**
- * recover() before blocks went to the pool, verbatim but for its obs
- * counters: serial blocks, ReferenceViterbi, and corrected bits
- * counted by re-encoding each good block and diffing it against the
- * received symbols.
+ * The framing layer before its one wire walk, for the tests to hold
+ * the library to byte for byte:
+ *
+ * - protect() as it was before the walk, verbatim but for its encoder:
+ *   LookupEncoder is replaced by the ShiftRegisterEncoder it was
+ *   tested equal to.  It punctured, then interleaved, whole copies of
+ *   each block's coded bits.
+ * - recover() before blocks went to the pool, verbatim but for its obs
+ *   counters and that encoder: serial blocks, ReferenceViterbi, and
+ *   corrected bits counted by re-encoding each good block and diffing
+ *   it against the received symbols.
+ * - puncture(), depuncture(), interleave() and deinterleave() as the
+ *   library had them; the first and third take any symbol type, so a
+ *   test can follow labelled positions through them.
  */
 namespace reference
 {
@@ -642,6 +733,106 @@ packBits(const std::vector<uint8_t> &bits)
     for (size_t i = 0; i < out.size() * 8; ++i)
         out[i / 8] = static_cast<uint8_t>(
             (out[i / 8] << 1) | (bits[i] & 1));
+    return out;
+}
+
+inline void
+putLe16(std::vector<uint8_t> &out, uint16_t v)
+{
+    out.push_back(static_cast<uint8_t>(v & 0xff));
+    out.push_back(static_cast<uint8_t>(v >> 8));
+}
+
+inline void
+putLe32(std::vector<uint8_t> &out, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
+}
+
+/** Delete the punctured positions of a coded bit/symbol stream. */
+template <typename T>
+std::vector<T>
+puncture(const std::vector<T> &coded, Rate r)
+{
+    const PuncturePattern &p = puncturePattern(r);
+    std::vector<T> out;
+    out.reserve(puncturedSize(coded.size(), r));
+    for (size_t i = 0; i < coded.size(); ++i) {
+        if (p.keep[i % p.period])
+            out.push_back(coded[i]);
+    }
+    return out;
+}
+
+/**
+ * Re-expand @p kept punctured symbols to the full @p coded_bits
+ * mother-code positions, filling deleted positions with @p erased.
+ * Missing trailing symbols (truncated input) also become @p erased.
+ */
+std::vector<uint8_t>
+depuncture(const uint8_t *kept, size_t n_kept, size_t coded_bits,
+           Rate r, uint8_t erased)
+{
+    const PuncturePattern &p = puncturePattern(r);
+    std::vector<uint8_t> out(coded_bits, erased);
+    size_t src = 0;
+    for (size_t base = 0; base < coded_bits && src < n_kept;
+         base += p.period) {
+        for (int i = 0; i < p.period && base + i < coded_bits &&
+                        src < n_kept;
+             ++i) {
+            if (p.keep[i])
+                out[base + i] = kept[src++];
+        }
+    }
+    return out;
+}
+
+/**
+ * Column-major walk over a depth x cols matrix filled row-major with
+ * n elements; calls fn(rowMajorIndex) for each present cell in read
+ * order.
+ */
+template <typename Fn>
+void
+walkColumns(size_t n, int depth, Fn &&fn)
+{
+    const size_t rows = static_cast<size_t>(depth);
+    const size_t cols = (n + rows - 1) / rows;
+    for (size_t c = 0; c < cols; ++c) {
+        for (size_t r = 0; r < rows; ++r) {
+            const size_t idx = r * cols + c;
+            if (idx < n)
+                fn(idx);
+        }
+    }
+}
+
+/** Write row-major into @p depth rows, read column-major. */
+template <typename T>
+std::vector<T>
+interleave(const std::vector<T> &in, int depth)
+{
+    if (depth <= 1 || in.size() <= 1)
+        return in;
+    std::vector<T> out;
+    out.reserve(in.size());
+    walkColumns(in.size(), depth,
+                [&](size_t idx) { out.push_back(in[idx]); });
+    return out;
+}
+
+/** Inverse of interleave() at the same depth. */
+std::vector<uint8_t>
+deinterleave(const std::vector<uint8_t> &in, int depth)
+{
+    if (depth <= 1 || in.size() <= 1)
+        return in;
+    std::vector<uint8_t> out(in.size());
+    size_t pos = 0;
+    walkColumns(in.size(), depth,
+                [&](size_t idx) { out[idx] = in[pos++]; });
     return out;
 }
 
@@ -747,6 +938,79 @@ parseLayout(const std::vector<uint8_t> &framed)
     return lay;
 }
 
+std::vector<uint8_t>
+protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
+{
+    const size_t cleartext = codec::protectableHeaderBytes(stream);
+    const auto sections = codec::parseSections(stream);
+
+    std::vector<uint8_t> out;
+    out.reserve(kHeaderSize + stream.size() * 2);
+    for (uint8_t m : kMagic)
+        out.push_back(m);
+    out.push_back(kVersion);
+    out.push_back(static_cast<uint8_t>(cfg.wireForm()));
+    out.push_back(static_cast<uint8_t>(cfg.rate));
+    out.push_back(static_cast<uint8_t>(cfg.code.k));
+    out.push_back(cfg.code.g1);
+    out.push_back(cfg.code.g2);
+    putLe16(out, static_cast<uint16_t>(
+                     std::clamp(cfg.interleaveDepth, 0, 0xffff)));
+    putLe32(out, static_cast<uint32_t>(cleartext));
+    const size_t blockCountPos = out.size();
+    putLe32(out, 0); // Block count, patched below.
+    putLe32(out, 0); // Header CRC, patched below.
+    out.insert(out.end(), stream.begin(), stream.begin() + cleartext);
+
+    ShiftRegisterEncoder enc(cfg.code);
+    uint32_t blockCount = 0;
+    int vopCount = 0;
+    uint16_t curVop = kNoVop;
+    for (const auto &s : sections) {
+        if (s.offset < cleartext)
+            continue;
+        if (bits::isVopCode(s.code))
+            curVop = static_cast<uint16_t>(vopCount++);
+
+        // payload | CRC-32 trailer, then encode + flush to state 0.
+        std::vector<uint8_t> buf(stream.begin() + s.offset,
+                                 stream.begin() + s.offset + s.size);
+        putLe32(buf, support::crc32(buf.data(), buf.size()));
+        enc.reset();
+        std::vector<uint8_t> bits;
+        enc.encodeBytes(buf.data(), buf.size(), bits);
+        enc.flush(bits);
+
+        std::vector<uint8_t> wire =
+            interleave(puncture(bits, cfg.rate), cfg.interleaveDepth);
+
+        out.push_back(s.code);
+        putLe16(out, curVop);
+        putLe32(out, static_cast<uint32_t>(s.size));
+        if (cfg.wireForm() == WireForm::PackedHard) {
+            // Pad the last wire byte with zero bits.
+            wire.resize((wire.size() + 7) / 8 * 8, 0);
+            const auto packed = packBits(wire);
+            out.insert(out.end(), packed.begin(), packed.end());
+        } else {
+            for (uint8_t &sym : wire)
+                sym = sym ? kSymOne : kSymZero;
+            out.insert(out.end(), wire.begin(), wire.end());
+        }
+        ++blockCount;
+    }
+
+    // Patch block count, then the header CRC over bytes [0, 20).
+    for (int i = 0; i < 4; ++i)
+        out[blockCountPos + i] =
+            static_cast<uint8_t>((blockCount >> (8 * i)) & 0xff);
+    const uint32_t crc = support::crc32(out.data(), kOffHeaderCrc);
+    for (int i = 0; i < 4; ++i)
+        out[kOffHeaderCrc + i] =
+            static_cast<uint8_t>((crc >> (8 * i)) & 0xff);
+    return out;
+}
+
 RecoverResult
 recover(const std::vector<uint8_t> &framed)
 {
@@ -765,7 +1029,7 @@ recover(const std::vector<uint8_t> &framed)
     res.stats.framingErrors = lay.missingBlocks;
 
     const ReferenceViterbi dec(lay.code);
-    LookupEncoder reenc(lay.code);
+    ShiftRegisterEncoder reenc(lay.code);
     const Decision decision = lay.form == WireForm::SoftBytes
                                   ? Decision::Soft
                                   : Decision::Hard;
@@ -883,10 +1147,9 @@ TEST(Puncture, DepunctureRestoresKeptPositionsErasesRest)
 {
     const auto coded = randomBytes(301, 71); // odd length on purpose
     for (Rate r : {Rate::R1_2, Rate::R2_3, Rate::R3_4}) {
-        const auto kept = puncture(coded, r);
+        const auto kept = wireOf(coded, r, 1);
         EXPECT_EQ(kept.size(), puncturedSize(coded.size(), r));
-        const auto back = depuncture(kept.data(), kept.size(),
-                                     coded.size(), r, kSymErased);
+        const auto back = motherOf(kept, coded.size(), r, 1, kSymErased);
         ASSERT_EQ(back.size(), coded.size());
         const PuncturePattern &p = puncturePattern(r);
         for (size_t i = 0; i < coded.size(); ++i) {
@@ -897,8 +1160,9 @@ TEST(Puncture, DepunctureRestoresKeptPositionsErasesRest)
             }
         }
         // Truncated input: the missing tail becomes erasures.
-        const auto cut = depuncture(kept.data(), kept.size() / 2,
-                                    coded.size(), r, kSymErased);
+        const auto cut = motherOf(
+            std::vector<uint8_t>(kept.begin(), kept.begin() + kept.size() / 2),
+            coded.size(), r, 1, kSymErased);
         EXPECT_EQ(cut.back(), kSymErased);
     }
 }
@@ -908,11 +1172,53 @@ TEST(Interleave, RoundTripsAtAnyDepthAndLength)
     for (size_t n : {0u, 1u, 2u, 7u, 64u, 1000u, 1023u}) {
         const auto data = randomBytes(n, 100 + n);
         for (int depth : {0, 1, 2, 3, 16, 100, 2000}) {
-            const auto inter = interleave(data, depth);
+            const auto inter = wireOf(data, Rate::R1_2, depth);
             ASSERT_EQ(inter.size(), data.size())
                 << "n=" << n << " depth=" << depth;
-            EXPECT_EQ(deinterleave(inter, depth), data)
+            EXPECT_EQ(motherOf(inter, n, Rate::R1_2, depth, uint8_t{0}),
+                      data)
                 << "n=" << n << " depth=" << depth;
+        }
+    }
+}
+
+TEST(Interleave, WalkMatchesPunctureThenInterleave)
+{
+    // The one walk against the two passes it replaced, on labelled
+    // positions: every rate, over the lengths and depths of the round
+    // trips above.  The runs tile the wire in order, each as long as it
+    // can be, and without interleaving a rate-1/2 block is one run.
+    for (Rate r : {Rate::R1_2, Rate::R2_3, Rate::R3_4}) {
+        for (size_t n : {0u, 1u, 2u, 7u, 64u, 301u, 1000u, 1023u, 4096u}) {
+            std::vector<uint32_t> coded(n);
+            std::iota(coded.begin(), coded.end(), 0u);
+            const size_t syms = puncturedSize(n, r);
+            for (int depth : {0, 1, 2, 3, 16, 32, 100, 2000}) {
+                const std::string what = std::string(rateName(r)) +
+                                         " n=" + std::to_string(n) +
+                                         " depth=" + std::to_string(depth);
+                EXPECT_EQ(wireOf(coded, r, depth),
+                          reference::interleave(reference::puncture(coded, r),
+                                                depth))
+                    << what;
+                size_t runs = 0, wireEnd = 0, motherEnd = 0;
+                forEachWireRun(syms, depth, r,
+                               [&](size_t w, size_t m, size_t len) {
+                                   EXPECT_EQ(w, wireEnd) << what;
+                                   EXPECT_GT(len, 0u) << what;
+                                   EXPECT_LE(m + len, n) << what;
+                                   if (runs > 0) {
+                                       EXPECT_NE(m, motherEnd) << what;
+                                   }
+                                   ++runs;
+                                   wireEnd = w + len;
+                                   motherEnd = m + len;
+                               });
+                EXPECT_EQ(wireEnd, syms) << what;
+                if (r == Rate::R1_2 && depth <= 1) {
+                    EXPECT_EQ(runs, n > 0 ? 1u : 0u) << what;
+                }
+            }
         }
     }
 }
@@ -922,11 +1228,11 @@ TEST(Interleave, DisprersesWireBurstsIntoIsolatedErrors)
     // A wire burst of D consecutive symbols lands one row each after
     // depth-D deinterleaving: no two damaged positions adjacent.
     const int depth = 32;
-    std::vector<uint8_t> data(4096, 0);
-    auto wire = interleave(data, depth);
+    std::vector<uint8_t> wire(4096, 0);
     for (size_t i = 600; i < 600 + depth; ++i)
         wire[i] = 1;
-    const auto back = deinterleave(wire, depth);
+    const auto back =
+        motherOf(wire, wire.size(), Rate::R1_2, depth, uint8_t{0});
     int damaged = 0;
     for (size_t i = 0; i < back.size(); ++i) {
         if (!back[i])
@@ -1263,6 +1569,76 @@ TEST(FecFrame, RecoverMatchesReference)
                 }
             }
         }
+    }
+}
+
+TEST(FecFrame, ProtectMatchesReference)
+{
+    // One encoder into a reused buffer and one walk writing the frame:
+    // every byte must equal the old protect()'s, for every wire form,
+    // rate, depth and code, and for streams too short to hold a block
+    // or holding a cut-off one.
+    const auto stream =
+        core::ExperimentRunner::encodeUntraced(resyncWorkload(3));
+    std::vector<std::vector<uint8_t>> streams = {stream, {}};
+    const size_t firstVop = codec::protectableHeaderBytes(stream);
+    ASSERT_LT(firstVop + 9, stream.size());
+    for (size_t n = 1; n <= 9; ++n) {
+        streams.push_back(randomBytes(n, 300 + n));
+        streams.emplace_back(stream.begin() + firstVop,
+                             stream.begin() + firstVop + n);
+    }
+    for (const ConvCode &code :
+         {ConvCode(), ConvCode(5, 023, 035), ConvCode(3, 07, 05)}) {
+        for (Decision d : {Decision::Hard, Decision::Soft}) {
+            for (Rate r : {Rate::R1_2, Rate::R2_3, Rate::R3_4}) {
+                for (int depth : {0, 1, 2, 7, 16, 128, 5000}) {
+                    FecConfig cfg;
+                    cfg.decision = d;
+                    cfg.rate = r;
+                    cfg.interleaveDepth = depth;
+                    cfg.code = code;
+                    const std::string what =
+                        "k=" + std::to_string(code.k) + " " +
+                        decisionName(d) + " " + rateName(r) + " depth " +
+                        std::to_string(depth);
+                    for (size_t i = 0; i < streams.size(); ++i) {
+                        EXPECT_TRUE(protect(streams[i], cfg) ==
+                                    reference::protect(streams[i], cfg))
+                            << what << " stream " << i;
+                    }
+                    EXPECT_TRUE(recover(protect(stream, cfg)).stream ==
+                                stream)
+                        << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(FecFrame, DepthBeyondTheHeaderFieldRoundTrips)
+{
+    // The header records the interleave depth in 16 bits, so a larger
+    // depth must interleave exactly as the largest recordable one:
+    // recover() walks at the recorded depth.  The stream's I-frame
+    // block is longer than 65535 wire symbols, so a depth past that
+    // would permute it differently.
+    core::Workload w = core::paperWorkload(352, 288, 1, 1);
+    w.frames = 2;
+    w.targetBps = 2e6;
+    const auto stream = core::ExperimentRunner::encodeUntraced(w);
+    FecConfig widest;
+    widest.interleaveDepth = 0xffff;
+    const auto framedAtWidest = protect(stream, widest);
+    for (int depth : {70000, 100000}) {
+        FecConfig cfg;
+        cfg.interleaveDepth = depth;
+        const auto framed = protect(stream, cfg);
+        const RecoverResult rec = recover(framed);
+        EXPECT_GT(rec.stats.blocks, 0u) << depth;
+        EXPECT_EQ(rec.stats.blocksUncorrectable, 0u) << depth;
+        EXPECT_TRUE(rec.stream == stream) << depth;
+        EXPECT_TRUE(framed == framedAtWidest) << depth;
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -111,9 +112,11 @@ TEST(JobSpec, SpecLineRoundTrips)
     spec.retries = 2;
     spec.jobClass = "gold";
     spec.crashAtVop = 3;
+    spec.workload.seed = static_cast<uint64_t>(int64_t{-2}); // seed=-2
 
     const JobSpec back = parseSpecLine("j1", spec.toSpecLine());
     EXPECT_EQ(back.toSpecLine(), spec.toSpecLine());
+    EXPECT_EQ(back.workload.seed, spec.workload.seed);
     EXPECT_EQ(back.type, JobType::Transcode);
     EXPECT_EQ(back.workload.dataPartitioning, true);
     EXPECT_EQ(back.deadlineMs, 750);
@@ -200,6 +203,17 @@ TEST(JobSpec, RateAndSearchRangesAreValidated)
     EXPECT_NO_THROW(parseSpecLine("v", "out=x frame-rate=25 "
                                        "search-range=0 search-range-b=0")
                         .validate());
+}
+
+TEST(JobSpec, OutOfRangeIntegersAreRejected)
+{
+    // 4294967328 is 2^32 + 32: cast from long it would run as width 32.
+    EXPECT_THROW(parseSpecLine("w", "out=x width=4294967328"),
+                 ManifestError);
+    EXPECT_THROW(parseSpecLine("w", "out=x seed=-2147483649"),
+                 ManifestError);
+    EXPECT_EQ(parseSpecLine("w", "out=x width=2147483647").workload.width,
+              INT_MAX);
 }
 
 TEST(JobSpec, EffectiveClassDefaultsToTypeName)
