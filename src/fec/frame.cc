@@ -232,13 +232,21 @@ std::vector<uint8_t>
 protect(std::span<const uint8_t> stream, const FecConfig &cfg)
 {
     const auto sections = codec::parseSections(stream);
-    // The cleartext prefix, protectableHeaderBytes(): everything
-    // before the first VOP section.
-    size_t cleartext = stream.size();
-    for (const auto &s : sections) {
-        if (bits::isVopCode(s.code)) {
-            cleartext = s.offset;
-            break;
+    // A stream that opens on a section carries the cleartext prefix,
+    // protectableHeaderBytes(): everything before its first VOP
+    // section.  One that opens mid-section, such as a packet cut from
+    // the middle of a VOP, has none: its bytes up to the first
+    // section become a block of their own.
+    const size_t head =
+        sections.empty() ? stream.size() : sections.front().offset;
+    size_t cleartext = 0;
+    if (head == 0) {
+        cleartext = stream.size();
+        for (const auto &s : sections) {
+            if (bits::isVopCode(s.code)) {
+                cleartext = s.offset;
+                break;
+            }
         }
     }
     // The depth the header can record is the depth the walk uses.
@@ -265,23 +273,17 @@ protect(std::span<const uint8_t> stream, const FecConfig &cfg)
     std::vector<uint8_t> block; //!< Payload, then the CRC trailer.
     std::vector<uint8_t> coded; //!< One bit per mother-code position.
     uint32_t blockCount = 0;
-    int vopCount = 0;
-    uint16_t curVop = kNoVop;
-    for (const auto &s : sections) {
-        if (s.offset < cleartext)
-            continue;
-        if (bits::isVopCode(s.code))
-            curVop = static_cast<uint16_t>(vopCount++);
-
-        block.assign(stream.begin() + s.offset,
-                     stream.begin() + s.offset + s.size);
+    auto emitBlock = [&](uint8_t code, uint16_t vop, size_t offset,
+                         size_t size) {
+        block.assign(stream.begin() + offset,
+                     stream.begin() + offset + size);
         putLe32(block, support::crc32(block.data(), block.size()));
         convEncode(cfg.code, block.data(), block.size(), coded);
         const size_t syms = puncturedSize(coded.size(), cfg.rate);
 
-        out.push_back(s.code);
-        putLe16(out, curVop);
-        putLe32(out, static_cast<uint32_t>(s.size));
+        out.push_back(code);
+        putLe16(out, vop);
+        putLe32(out, static_cast<uint32_t>(size));
         const size_t at = out.size();
         out.resize(at + blockWireBytes(syms, form), 0);
         uint8_t *wire = out.data() + at;
@@ -303,6 +305,18 @@ protect(std::span<const uint8_t> stream, const FecConfig &cfg)
                            });
         }
         ++blockCount;
+    };
+
+    if (cleartext == 0 && head > 0)
+        emitBlock(kNoSection, kNoVop, 0, head);
+    int vopCount = 0;
+    uint16_t curVop = kNoVop;
+    for (const auto &s : sections) {
+        if (s.offset < cleartext)
+            continue;
+        if (bits::isVopCode(s.code))
+            curVop = static_cast<uint16_t>(vopCount++);
+        emitBlock(s.code, curVop, s.offset, s.size);
     }
 
     // Patch block count, then the header CRC over bytes [0, 20).

@@ -14,10 +14,15 @@
  *
  * The cleartext prefix is protectableHeaderBytes(): the session
  * headers a transport protects out of band (same model FaultSpec's
- * protectPrefixBytes encodes).  Per block, the payload plus a CRC-32
- * trailer is convolutionally encoded, punctured to the configured
- * rate, interleaved, and emitted either as packed bits (hard wire
- * form) or one offset-LLR byte per symbol (soft wire form).
+ * protectPrefixBytes encodes).  Only a stream that opens on a
+ * section has one.  A stream that opens mid-section - a packet cut
+ * from the middle of a VOP - has no cleartext: its bytes before the
+ * first section (all of them, if it has none) form one block with
+ * section code kNoSection and VOP index kNoVop.  Per block, the
+ * payload plus a CRC-32 trailer is convolutionally encoded,
+ * punctured to the configured rate, interleaved, and emitted either
+ * as packed bits (hard wire form) or one offset-LLR byte per symbol
+ * (soft wire form).
  *
  * The channel functions perturb *only* the wire-symbol regions -
  * framing metadata rides the protected transport, mirroring how
@@ -61,6 +66,8 @@ inline constexpr size_t kOffWireForm = 5;
 inline constexpr size_t kOffRate = 6;
 inline constexpr size_t kOffHeaderCrc = 20;
 inline constexpr uint16_t kNoVop = 0xffff;
+/** Section code of the block before a stream's first startcode. */
+inline constexpr uint8_t kNoSection = 0xff;
 
 /** Wire form of the coded symbols. */
 enum class WireForm : uint8_t

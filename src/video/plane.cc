@@ -11,7 +11,16 @@ void
 Plane::fill(uint8_t v)
 {
     if (!empty())
-        std::memset(rowPtr(0), v, static_cast<size_t>(stride_) * h_);
+        fillRows(0, h_, v);
+}
+
+void
+Plane::fillRows(int y0, int y1, uint8_t v)
+{
+    M4PS_ASSERT(0 <= y0 && y0 <= y1 && y1 <= h_, "fillRows [", y0, ", ",
+                y1, ") outside ", h_, " rows");
+    if (y0 < y1)
+        std::memset(rowPtr(y0), v, static_cast<size_t>(stride_) * (y1 - y0));
 }
 
 void

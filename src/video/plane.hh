@@ -106,6 +106,9 @@ class Plane
     /** Untraced constant fill. */
     void fill(uint8_t v);
 
+    /** Untraced constant fill of rows [@p y0, @p y1), padding included. */
+    void fillRows(int y0, int y1, uint8_t v);
+
     /** Untraced pixel copy from a same-sized plane. */
     void copyFrom(const Plane &src);
 

@@ -1,9 +1,13 @@
 #include "video/scene.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "support/logging.hh"
+#include "support/obs/obs.hh"
 #include "support/random.hh"
+#include "support/threadpool.hh"
 
 namespace m4ps::video
 {
@@ -24,28 +28,89 @@ hash2(uint32_t seed, int x, int y)
     return h;
 }
 
+/** The fine-grain dither, indexed by five hash bits of the pixel. */
+constexpr std::array<double, 32> kGrain = [] {
+    std::array<double, 32> g{};
+    for (int k = 0; k < 32; ++k)
+        g[k] = (k - 15.5) * 0.4;
+    return g;
+}();
+
+/** Luma rows per band: one macroblock row. */
+constexpr int kBandRows = 16;
+
+/**
+ * Run body(y0, y1) for bands of luma rows [y0, y1) tiling [0, h), one
+ * pool task per band.  Bands are kBandRows rows, the last up to twice
+ * that, and start on even rows, so each owns the chroma rows
+ * [y0 / 2, y1 / 2) of a 4:2:0 frame.
+ */
+template <typename Body>
+void
+forEachBand(int h, const Body &body)
+{
+    const int bands = std::max(h / kBandRows, 1);
+    support::ThreadPool::global().parallelFor(bands, [&](int b) {
+        // On a worker a band is otherwise a bare pool.task, and its
+        // time would count against the pool, not the video layer.
+        obs::Span span("video", "video.band");
+        body(b * kBandRows, b + 1 == bands ? h : (b + 1) * kBandRows);
+    });
+}
+
+bool
+insideObject(const ObjectSpec &o, double cx, double cy, int x, int y)
+{
+    const double dx = (x - cx) / o.rx;
+    const double dy = (y - cy) / o.ry;
+    return dx * dx + dy * dy <= 1.0;
+}
+
 } // namespace
+
+int
+TextureRow::column(int cx) const
+{
+    return static_cast<int>(hash2(seed_, cx, y0_) & 0xff) * (8 - fy_) +
+           static_cast<int>(hash2(seed_, cx, y0_ + 1) & 0xff) * fy_;
+}
+
+void
+TextureRow::run(int x, int n, uint8_t *out)
+{
+    // Locals, not members: stores through out may alias any object,
+    // and would make every member a reload.
+    const uint32_t grainSeed = seed_ ^ 0xabcd;
+    const int y = y_;
+    int cell = cell_, left = left_, right = right_;
+    for (int i = 0; i < n; ++i, ++x) {
+        const int c = x >> 3;
+        if (c != cell) {
+            // Walking right, the old right column is the new left one.
+            left = c == cell + 1 ? right : column(c);
+            right = column(c + 1);
+            cell = c;
+        }
+        const int fx = x & 7;
+        // s is 64 times the bilinear blend v of the corners, so
+        // v * 0.75 + 32, the texture before dither, is
+        // (3 s + 8192) / 256.  Both are exact: the corners are
+        // integers and fx, fy count eighths.  Only adding the dither
+        // rounds.
+        const int s = left * (8 - fx) + right * fx;
+        const double v = (3 * s + 8192) / 256.0 +
+                         kGrain[hash2(grainSeed, x, y) & 0x1f];
+        out[i] = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+    }
+    cell_ = cell;
+    left_ = left;
+    right_ = right;
+}
 
 uint8_t
 textureSample(uint32_t seed, int x, int y)
 {
-    // Value noise: hash lattice points every 8 pixels, bilinear blend.
-    const int cell = 8;
-    const int x0 = x >> 3, y0 = y >> 3;
-    const int fx = x & (cell - 1), fy = y & (cell - 1);
-    const double tx = fx / static_cast<double>(cell);
-    const double ty = fy / static_cast<double>(cell);
-    auto corner = [&](int cx, int cy) {
-        return static_cast<double>(hash2(seed, cx, cy) & 0xff);
-    };
-    const double top = corner(x0, y0) * (1 - tx) + corner(x0 + 1, y0) * tx;
-    const double bot = corner(x0, y0 + 1) * (1 - tx) +
-                       corner(x0 + 1, y0 + 1) * tx;
-    const double v = top * (1 - ty) + bot * ty;
-    // Add a fine-grain deterministic dither so blocks are not flat.
-    const double grain = ((hash2(seed ^ 0xabcd, x, y) & 0x1f) - 15.5) * 0.4;
-    const double out = v * 0.75 + 32 + grain;
-    return static_cast<uint8_t>(std::clamp(out, 0.0, 255.0));
+    return TextureRow(seed, y).at(x);
 }
 
 SceneGenerator::SceneGenerator(int w, int h, int num_objects,
@@ -90,35 +155,71 @@ SceneGenerator::objectCenter(int t, int obj, double &cx, double &cy) const
     cy = bounce(o.cy, o.vy, t, o.ry, h_ - o.ry);
 }
 
-uint8_t
-SceneGenerator::backgroundLuma(int t, int x, int y) const
+void
+SceneGenerator::backgroundRows(int t, int y0, int y1,
+                               Yuv420Image &out) const
 {
+    const uint32_t seed = static_cast<uint32_t>(seed_);
     // Slow horizontal pan (half a pixel per frame) over a large
     // texture plus a gentle vertical gradient.
-    const int px = x + t / 2;
-    const uint8_t tex = textureSample(static_cast<uint32_t>(seed_), px, y);
-    const int grad = (y * 48) / std::max(h_, 1);
-    const int v = tex / 2 + 64 + grad;
-    return static_cast<uint8_t>(std::clamp(v, 0, 255));
+    // Each row takes its texture samples first, then maps them in
+    // place.
+    for (int y = y0; y < y1; ++y) {
+        const int grad = (y * 48) / h_;
+        uint8_t *row = out.y().rowPtr(y);
+        TextureRow(seed, y).run(t / 2, w_, row);
+        for (int x = 0; x < w_; ++x)
+            row[x] = static_cast<uint8_t>(
+                std::clamp(row[x] / 2 + 64 + grad, 0, 255));
+    }
+    // Mild chroma texture derived from luma lattice.
+    for (int y = y0 / 2; y < y1 / 2; ++y) {
+        uint8_t *ru = out.u().rowPtr(y);
+        uint8_t *rv = out.v().rowPtr(y);
+        TextureRow(seed ^ 0x11, y).run(t / 4, w_ / 2, ru);
+        TextureRow(seed ^ 0x22, y).run(0, w_ / 2, rv);
+        for (int x = 0; x < w_ / 2; ++x) {
+            ru[x] = static_cast<uint8_t>(120 + (ru[x] >> 4));
+            rv[x] = static_cast<uint8_t>(124 + (rv[x] >> 4));
+        }
+    }
 }
 
-bool
-SceneGenerator::insideObject(const ObjectSpec &o, double cx, double cy,
-                             int x, int y) const
+void
+SceneGenerator::objectRows(int t, int obj, int y0, int y1,
+                           Yuv420Image &out, Plane *alpha) const
 {
-    const double dx = (x - cx) / o.rx;
-    const double dy = (y - cy) / o.ry;
-    return dx * dx + dy * dy <= 1.0;
-}
-
-uint8_t
-SceneGenerator::objectLuma(const ObjectSpec &o, int x, int y,
-                           double cx, double cy) const
-{
-    // Texture moves with the object so motion estimation can track it.
-    const int tx = static_cast<int>(std::lround(x - cx)) + 4096;
-    const int ty = static_cast<int>(std::lround(y - cy)) + 4096;
-    return textureSample(o.textureSeed, tx, ty);
+    const ObjectSpec &o = objects_[obj];
+    double cx, cy;
+    objectCenter(t, obj, cx, cy);
+    const Rect bb = objectBBox(t, obj);
+    for (int y = std::max(bb.y, y0); y < std::min(bb.y + bb.h, y1); ++y) {
+        // Texture moves with the object so motion estimation can
+        // track it.
+        TextureRow tex(o.textureSeed,
+                       static_cast<int>(std::lround(y - cy)) + 4096);
+        uint8_t *row = out.y().rowPtr(y);
+        uint8_t *arow = alpha ? alpha->rowPtr(y) : nullptr;
+        for (int x = bb.x; x < bb.x + bb.w; ++x) {
+            if (!insideObject(o, cx, cy, x, y))
+                continue;
+            row[x] = tex.at(static_cast<int>(std::lround(x - cx)) + 4096);
+            if (arow)
+                arow[x] = 255;
+        }
+    }
+    for (int y = std::max(bb.y / 2, y0 / 2);
+         y < std::min((bb.y + bb.h) / 2, y1 / 2); ++y) {
+        uint8_t *ru = out.u().rowPtr(y);
+        uint8_t *rv = out.v().rowPtr(y);
+        for (int x = bb.x / 2; x < (bb.x + bb.w) / 2; ++x) {
+            if (insideObject(o, cx / 2, cy / 2, x, y) ||
+                insideObject(o, cx, cy, 2 * x, 2 * y)) {
+                ru[x] = o.chromaU;
+                rv[x] = o.chromaV;
+            }
+        }
+    }
 }
 
 void
@@ -126,54 +227,22 @@ SceneGenerator::renderBackground(int t, Yuv420Image &out) const
 {
     M4PS_ASSERT(out.width() == w_ && out.height() == h_,
                 "frame size mismatch");
-    for (int y = 0; y < h_; ++y) {
-        uint8_t *row = out.y().rowPtr(y);
-        for (int x = 0; x < w_; ++x)
-            row[x] = backgroundLuma(t, x, y);
-    }
-    for (int y = 0; y < h_ / 2; ++y) {
-        uint8_t *ru = out.u().rowPtr(y);
-        uint8_t *rv = out.v().rowPtr(y);
-        for (int x = 0; x < w_ / 2; ++x) {
-            // Mild chroma texture derived from luma lattice.
-            ru[x] = static_cast<uint8_t>(
-                120 + (textureSample(static_cast<uint32_t>(seed_) ^ 0x11,
-                                     x + t / 4, y) >> 4));
-            rv[x] = static_cast<uint8_t>(
-                124 + (textureSample(static_cast<uint32_t>(seed_) ^ 0x22,
-                                     x, y) >> 4));
-        }
-    }
+    forEachBand(h_, [&](int y0, int y1) {
+        backgroundRows(t, y0, y1, out);
+    });
 }
 
 void
 SceneGenerator::renderFrame(int t, Yuv420Image &out) const
 {
-    renderBackground(t, out);
-    for (size_t i = 0; i < objects_.size(); ++i) {
-        const ObjectSpec &o = objects_[i];
-        double cx, cy;
-        objectCenter(t, static_cast<int>(i), cx, cy);
-        const Rect bb = objectBBox(t, static_cast<int>(i));
-        for (int y = bb.y; y < bb.y + bb.h; ++y) {
-            uint8_t *row = out.y().rowPtr(y);
-            for (int x = bb.x; x < bb.x + bb.w; ++x) {
-                if (insideObject(o, cx, cy, x, y))
-                    row[x] = objectLuma(o, x, y, cx, cy);
-            }
-        }
-        for (int y = bb.y / 2; y < (bb.y + bb.h) / 2; ++y) {
-            uint8_t *ru = out.u().rowPtr(y);
-            uint8_t *rv = out.v().rowPtr(y);
-            for (int x = bb.x / 2; x < (bb.x + bb.w) / 2; ++x) {
-                if (insideObject(o, cx / 2, cy / 2, x, y) ||
-                    insideObject(o, cx, cy, 2 * x, 2 * y)) {
-                    ru[x] = o.chromaU;
-                    rv[x] = o.chromaV;
-                }
-            }
-        }
-    }
+    M4PS_ASSERT(out.width() == w_ && out.height() == h_,
+                "frame size mismatch");
+    forEachBand(h_, [&](int y0, int y1) {
+        backgroundRows(t, y0, y1, out);
+        // Later objects cover earlier ones.
+        for (int i = 0; i < numObjects(); ++i)
+            objectRows(t, i, y0, y1, out, nullptr);
+    });
 }
 
 void
@@ -185,35 +254,14 @@ SceneGenerator::renderObject(int t, int obj, Yuv420Image &out,
                 "frame size mismatch");
     M4PS_ASSERT(alpha.width() == w_ && alpha.height() == h_,
                 "alpha size mismatch");
-    const ObjectSpec &o = objects_[obj];
-    double cx, cy;
-    objectCenter(t, obj, cx, cy);
-
-    out.fill(128, 128);
-    alpha.fill(0);
-
-    const Rect bb = objectBBox(t, obj);
-    for (int y = bb.y; y < bb.y + bb.h; ++y) {
-        uint8_t *row = out.y().rowPtr(y);
-        uint8_t *arow = alpha.rowPtr(y);
-        for (int x = bb.x; x < bb.x + bb.w; ++x) {
-            if (insideObject(o, cx, cy, x, y)) {
-                row[x] = objectLuma(o, x, y, cx, cy);
-                arow[x] = 255;
-            }
-        }
-    }
-    for (int y = bb.y / 2; y < (bb.y + bb.h) / 2; ++y) {
-        uint8_t *ru = out.u().rowPtr(y);
-        uint8_t *rv = out.v().rowPtr(y);
-        for (int x = bb.x / 2; x < (bb.x + bb.w) / 2; ++x) {
-            if (insideObject(o, cx / 2, cy / 2, x, y) ||
-                insideObject(o, cx, cy, 2 * x, 2 * y)) {
-                ru[x] = o.chromaU;
-                rv[x] = o.chromaV;
-            }
-        }
-    }
+    forEachBand(h_, [&](int y0, int y1) {
+        // Mid-grey and transparent outside the object.
+        out.y().fillRows(y0, y1, 128);
+        out.u().fillRows(y0 / 2, y1 / 2, 128);
+        out.v().fillRows(y0 / 2, y1 / 2, 128);
+        alpha.fillRows(y0, y1, 0);
+        objectRows(t, obj, y0, y1, out, &alpha);
+    });
 }
 
 Rect

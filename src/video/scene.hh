@@ -12,11 +12,20 @@
  * single-VO experiments) or each object separately with its binary
  * alpha plane (the 3-VO experiments, where "the single-object input
  * becomes a subset of the multiple-object input").
+ *
+ * Every pixel depends only on the time, its position and the seeds,
+ * and rendering writes through untraced row pointers.  So each render
+ * call splits the frame into bands of whole macroblock rows and
+ * renders them as tasks on support::ThreadPool::global(): the frame
+ * is the same at any pool width, and no memsim counter moves.  The
+ * texture itself is one kernel, TextureRow, which hashes lattice
+ * corners once per 8-pixel cell and blends them in integers.
  */
 
 #ifndef M4PS_VIDEO_SCENE_HH
 #define M4PS_VIDEO_SCENE_HH
 
+#include <climits>
 #include <cstdint>
 #include <vector>
 
@@ -82,11 +91,15 @@ class SceneGenerator
     const ObjectSpec &object(int obj) const { return objects_[obj]; }
 
   private:
-    uint8_t backgroundLuma(int t, int x, int y) const;
-    uint8_t objectLuma(const ObjectSpec &o, int x, int y,
-                       double cx, double cy) const;
-    bool insideObject(const ObjectSpec &o, double cx, double cy,
-                      int x, int y) const;
+    /** Background of luma rows [y0, y1) and their chroma rows. */
+    void backgroundRows(int t, int y0, int y1, Yuv420Image &out) const;
+
+    /**
+     * Object @p obj over luma rows [y0, y1) and their chroma rows of
+     * @p out; its support into @p alpha, if set.
+     */
+    void objectRows(int t, int obj, int y0, int y1, Yuv420Image &out,
+                    Plane *alpha) const;
 
     int w_;
     int h_;
@@ -94,7 +107,50 @@ class SceneGenerator
     std::vector<ObjectSpec> objects_;
 };
 
-/** Deterministic value-noise texture sample in [0, 255]. */
+/**
+ * The value-noise texture of one seed along one row y: lattice points
+ * every 8 pixels hashed to [0, 255], blended bilinearly, plus a
+ * fine-grain dither per pixel.
+ *
+ * A row keeps the two lattice columns of the last cell it sampled, so
+ * walking x hashes two lattice points per 8-pixel cell instead of four
+ * per pixel; any x may follow any other.  The blend is exact in integers:
+ * the corners are integers and the in-cell offsets are multiples of
+ * 1/8, so only adding the dither rounds.
+ */
+class TextureRow
+{
+  public:
+    TextureRow(uint32_t seed, int y)
+        : seed_(seed), y_(y), y0_(y >> 3), fy_(y & 7)
+    {}
+
+    /** Samples (x, y) to (x + n - 1, y) into @p out, in [0, 255]. */
+    void run(int x, int n, uint8_t *out);
+
+    /** Texture sample (x, y): a one-sample run(). */
+    uint8_t
+    at(int x)
+    {
+        uint8_t v = 0;
+        run(x, 1, &v);
+        return v;
+    }
+
+  private:
+    /** 8 times the vertical blend of lattice column @p cx. */
+    int column(int cx) const;
+
+    uint32_t seed_;
+    int y_;
+    int y0_;
+    int fy_;
+    int cell_ = INT_MIN; //!< Cell of the cached columns; none yet.
+    int left_ = 0;
+    int right_ = 0;
+};
+
+/** One texture sample (x, y) in [0, 255]: TextureRow(seed, y).at(x). */
 uint8_t textureSample(uint32_t seed, int x, int y);
 
 } // namespace m4ps::video

@@ -941,8 +941,13 @@ parseLayout(const std::vector<uint8_t> &framed)
 std::vector<uint8_t>
 protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
 {
-    const size_t cleartext = codec::protectableHeaderBytes(stream);
     const auto sections = codec::parseSections(stream);
+    // Only a stream that opens on a section has the cleartext header
+    // prefix; the head of one cut mid-section is a block of its own.
+    const size_t head =
+        sections.empty() ? stream.size() : sections.front().offset;
+    const size_t cleartext =
+        head == 0 ? codec::protectableHeaderBytes(stream) : 0;
 
     std::vector<uint8_t> out;
     out.reserve(kHeaderSize + stream.size() * 2);
@@ -962,13 +967,24 @@ protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
     putLe32(out, 0); // Header CRC, patched below.
     out.insert(out.end(), stream.begin(), stream.begin() + cleartext);
 
+    std::vector<codec::StreamSection> blocks;
+    if (cleartext == 0 && head > 0) {
+        codec::StreamSection lead;
+        lead.code = kNoSection;
+        lead.offset = 0;
+        lead.size = head;
+        blocks.push_back(lead);
+    }
+    for (const auto &s : sections) {
+        if (s.offset >= cleartext)
+            blocks.push_back(s);
+    }
+
     ShiftRegisterEncoder enc(cfg.code);
     uint32_t blockCount = 0;
     int vopCount = 0;
     uint16_t curVop = kNoVop;
-    for (const auto &s : sections) {
-        if (s.offset < cleartext)
-            continue;
+    for (const auto &s : blocks) {
         if (bits::isVopCode(s.code))
             curVop = static_cast<uint16_t>(vopCount++);
 
@@ -1298,14 +1314,49 @@ TEST(FecFrame, DataPartitionedStreamRoundTrips)
 
 TEST(FecFrame, DegenerateStreamsRoundTrip)
 {
-    // No VOPs -> everything is cleartext; empty stream -> header only.
+    // Empty stream -> header only.  No section at all -> the bytes
+    // are the tail of a section cut earlier: one block, no cleartext.
     const std::vector<uint8_t> empty;
     EXPECT_EQ(recover(protect(empty, FecConfig{})).stream, empty);
 
-    const std::vector<uint8_t> noVops(100, 0x42);
-    const RecoverResult rec = recover(protect(noVops, FecConfig{}));
-    EXPECT_EQ(rec.stream, noVops);
-    EXPECT_EQ(rec.stats.blocks, 0u);
+    const std::vector<uint8_t> noSections(100, 0x42);
+    const RecoverResult rec = recover(protect(noSections, FecConfig{}));
+    EXPECT_EQ(rec.stream, noSections);
+    EXPECT_EQ(rec.stats.blocks, 1u);
+    ASSERT_EQ(rec.stats.perVop.size(), 1u);
+    EXPECT_EQ(rec.stats.perVop[0].vop, -1);
+}
+
+TEST(FecFrame, MidSectionSliceIsCodedFromItsFirstByte)
+{
+    // serve protects each MTU slice of a stream on its own.  A slice
+    // that starts inside a VOP has no session headers, so nothing of
+    // it may travel as cleartext: every byte must face the channel
+    // coded, and come back byte-identical at 4 dB.
+    core::Workload w = core::paperWorkload(176, 144, 1, 1);
+    w.frames = 1;
+    w.targetBps = 300000;
+    const auto stream = core::ExperimentRunner::encodeUntraced(w);
+    constexpr size_t kMtu = 1400;
+    const size_t firstVop = codec::protectableHeaderBytes(stream);
+    ASSERT_LT(firstVop, kMtu);
+    ASSERT_GT(stream.size(), 3 * kMtu) << "the I-VOP spans slices";
+    FecConfig cfg;
+    cfg.decision = Decision::Soft;
+    for (size_t off = 0; off < stream.size(); off += kMtu) {
+        const std::vector<uint8_t> slice(
+            stream.begin() + off,
+            stream.begin() + std::min(off + kMtu, stream.size()));
+        const auto framed = protect(slice, cfg);
+        EXPECT_EQ(reference::parseLayout(framed).cleartextLen,
+                  off == 0 ? firstVop : 0u)
+            << "slice at " << off;
+        const RecoverResult rec =
+            recover(channelSoft(framed, 4.0, 100 + off));
+        EXPECT_TRUE(rec.stream == slice) << "slice at " << off;
+        EXPECT_GT(rec.stats.blocks, 0u) << "slice at " << off;
+        EXPECT_EQ(rec.stats.blocksUncorrectable, 0u) << "slice at " << off;
+    }
 }
 
 TEST(FecFrame, HardChannelErrorsAreCorrected)

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "support/threadpool.hh"
 #include "video/composite.hh"
 #include "video/plane.hh"
 #include "video/quality.hh"
@@ -21,6 +23,164 @@ namespace
 {
 
 memsim::SimContext gCtx; // untraced
+
+/**
+ * The scene as rendered before the texture became one integer row
+ * kernel and frames were rendered in bands on the pool: one double
+ * texture sample per pixel, every pixel on the calling thread.  The
+ * kernel and the band renderer are held to it pixel for pixel.
+ */
+namespace reference
+{
+
+uint32_t
+hash2(uint32_t seed, int x, int y)
+{
+    uint32_t h = seed;
+    h ^= static_cast<uint32_t>(x) * 0x85ebca6bu;
+    h = (h << 13) | (h >> 19);
+    h ^= static_cast<uint32_t>(y) * 0xc2b2ae35u;
+    h *= 0x27d4eb2fu;
+    h ^= h >> 15;
+    return h;
+}
+
+uint8_t
+textureSample(uint32_t seed, int x, int y)
+{
+    // Value noise: hash lattice points every 8 pixels, bilinear blend.
+    const int cell = 8;
+    const int x0 = x >> 3, y0 = y >> 3;
+    const int fx = x & (cell - 1), fy = y & (cell - 1);
+    const double tx = fx / static_cast<double>(cell);
+    const double ty = fy / static_cast<double>(cell);
+    auto corner = [&](int cx, int cy) {
+        return static_cast<double>(hash2(seed, cx, cy) & 0xff);
+    };
+    const double top = corner(x0, y0) * (1 - tx) + corner(x0 + 1, y0) * tx;
+    const double bot = corner(x0, y0 + 1) * (1 - tx) +
+                       corner(x0 + 1, y0 + 1) * tx;
+    const double v = top * (1 - ty) + bot * ty;
+    // Add a fine-grain deterministic dither so blocks are not flat.
+    const double grain = ((hash2(seed ^ 0xabcd, x, y) & 0x1f) - 15.5) * 0.4;
+    const double out = v * 0.75 + 32 + grain;
+    return static_cast<uint8_t>(std::clamp(out, 0.0, 255.0));
+}
+
+bool
+insideObject(const ObjectSpec &o, double cx, double cy, int x, int y)
+{
+    const double dx = (x - cx) / o.rx;
+    const double dy = (y - cy) / o.ry;
+    return dx * dx + dy * dy <= 1.0;
+}
+
+void
+renderBackground(const SceneGenerator &g, uint64_t seed, int t,
+                 Yuv420Image &out)
+{
+    const int w = g.width(), h = g.height();
+    for (int y = 0; y < h; ++y) {
+        uint8_t *row = out.y().rowPtr(y);
+        for (int x = 0; x < w; ++x) {
+            const uint8_t tex =
+                textureSample(static_cast<uint32_t>(seed), x + t / 2, y);
+            const int v = tex / 2 + 64 + (y * 48) / std::max(h, 1);
+            row[x] = static_cast<uint8_t>(std::clamp(v, 0, 255));
+        }
+    }
+    for (int y = 0; y < h / 2; ++y) {
+        uint8_t *ru = out.u().rowPtr(y);
+        uint8_t *rv = out.v().rowPtr(y);
+        for (int x = 0; x < w / 2; ++x) {
+            ru[x] = static_cast<uint8_t>(
+                120 + (textureSample(static_cast<uint32_t>(seed) ^ 0x11,
+                                     x + t / 4, y) >> 4));
+            rv[x] = static_cast<uint8_t>(
+                124 + (textureSample(static_cast<uint32_t>(seed) ^ 0x22,
+                                     x, y) >> 4));
+        }
+    }
+}
+
+/** Object @p obj over whatever @p out holds; support into @p alpha. */
+void
+drawObject(const SceneGenerator &g, int t, int obj, Yuv420Image &out,
+           Plane *alpha)
+{
+    const ObjectSpec &o = g.object(obj);
+    double cx, cy;
+    g.objectCenter(t, obj, cx, cy);
+    const Rect bb = g.objectBBox(t, obj);
+    for (int y = bb.y; y < bb.y + bb.h; ++y) {
+        for (int x = bb.x; x < bb.x + bb.w; ++x) {
+            if (!insideObject(o, cx, cy, x, y))
+                continue;
+            const int tx = static_cast<int>(std::lround(x - cx)) + 4096;
+            const int ty = static_cast<int>(std::lround(y - cy)) + 4096;
+            out.y().rowPtr(y)[x] = textureSample(o.textureSeed, tx, ty);
+            if (alpha)
+                alpha->rowPtr(y)[x] = 255;
+        }
+    }
+    for (int y = bb.y / 2; y < (bb.y + bb.h) / 2; ++y) {
+        for (int x = bb.x / 2; x < (bb.x + bb.w) / 2; ++x) {
+            if (insideObject(o, cx / 2, cy / 2, x, y) ||
+                insideObject(o, cx, cy, 2 * x, 2 * y)) {
+                out.u().rowPtr(y)[x] = o.chromaU;
+                out.v().rowPtr(y)[x] = o.chromaV;
+            }
+        }
+    }
+}
+
+void
+renderFrame(const SceneGenerator &g, uint64_t seed, int t,
+            Yuv420Image &out)
+{
+    renderBackground(g, seed, t, out);
+    for (int i = 0; i < g.numObjects(); ++i)
+        drawObject(g, t, i, out, nullptr);
+}
+
+void
+renderObject(const SceneGenerator &g, int t, int obj, Yuv420Image &out,
+             Plane &alpha)
+{
+    out.fill(128, 128);
+    alpha.fill(0);
+    drawObject(g, t, obj, out, &alpha);
+}
+
+} // namespace reference
+
+/** Sets the global pool's width for a scope, then restores it. */
+class PoolWidth
+{
+  public:
+    explicit PoolWidth(int threads)
+        : saved_(support::ThreadPool::global().threads())
+    {
+        support::ThreadPool::setGlobalThreads(threads);
+    }
+    ~PoolWidth() { support::ThreadPool::setGlobalThreads(saved_); }
+
+  private:
+    int saved_;
+};
+
+/** Rows of @p a and @p b that differ, padding included; "" if none. */
+std::string
+planeDiff(const Plane &a, const Plane &b)
+{
+    std::string diff;
+    for (int y = 0; y < a.height(); ++y) {
+        if (!std::equal(a.rowPtr(y), a.rowPtr(y) + a.stride(),
+                        b.rowPtr(y)))
+            diff += " " + std::to_string(y);
+    }
+    return diff;
+}
 
 TEST(Plane, StrideAddsBorderAndRoundsTo16)
 {
@@ -107,6 +267,128 @@ TEST(TextureSample, DeterministicAndFullRange)
     }
     EXPECT_LT(lo, 80);
     EXPECT_GT(hi, 150);
+}
+
+TEST(TextureSample, MatchesReference)
+{
+    // The row kernel against the per-pixel double formula, for every
+    // in-cell phase of x and y.  Rows start at every phase and walk
+    // right, which reuses each cell's corners; other rows jump the
+    // way object pixels do, back and forth and across cells.  The
+    // coordinates reach past 8192: object textures sit near 4096.
+    long long samples = 0, mismatches = 0;
+    std::string first;
+    auto check = [&](uint32_t seed, TextureRow &row, int x, int y) {
+        ++samples;
+        const uint8_t got = row.at(x);
+        const uint8_t want = reference::textureSample(seed, x, y);
+        if (got != want && mismatches++ == 0)
+            first = "seed " + std::to_string(seed) + " (" +
+                    std::to_string(x) + ", " + std::to_string(y) +
+                    "): " + std::to_string(got) + " vs " +
+                    std::to_string(want);
+    };
+    for (uint32_t seed :
+         {1u, 7u, 5u, 0xdeadbeefu, 0x12345669u, 0xffffffffu}) {
+        for (int yBase : {-16, 0, 4088, 8184}) {
+            for (int y = yBase; y < yBase + 16; ++y) {
+                for (int xBase : {-24, 0, 4064, 8160}) {
+                    for (int phase = 0; phase < 8; ++phase) {
+                        TextureRow row(seed, y);
+                        for (int x = xBase + phase; x < xBase + 48; ++x)
+                            check(seed, row, x, y);
+                    }
+                    TextureRow row(seed, y);
+                    for (int x : {xBase + 3, xBase + 3, xBase + 5,
+                                  xBase + 2, xBase + 9, xBase + 8,
+                                  xBase + 40, xBase + 17, xBase - 9})
+                        check(seed, row, x, y);
+                }
+                for (int x = -8; x < 8200; x += 37) {
+                    ++samples;
+                    if (textureSample(seed, x, y) !=
+                        reference::textureSample(seed, x, y))
+                        ++mismatches;
+                }
+            }
+        }
+    }
+    EXPECT_GT(samples, 500000);
+    EXPECT_EQ(mismatches, 0) << "first: " << first;
+}
+
+TEST(SceneGenerator, RenderMatchesReference)
+{
+    // All three render calls against their per-pixel originals, every
+    // Y/U/V and alpha byte including the row padding, at pool widths
+    // 1 and 4.  Output planes start out poisoned, so a row no band
+    // writes shows.
+    constexpr uint8_t kPoison = 0x5a;
+    const uint64_t seed = 11;
+    // 48x40 is the one height that is not a whole number of bands.
+    for (const auto &[w, h] :
+         {std::pair{16, 16}, std::pair{64, 48}, std::pair{48, 40},
+          std::pair{176, 144}, std::pair{720, 576}}) {
+        for (int objects = 0; objects <= 3; ++objects) {
+            const SceneGenerator gen(w, h, objects, seed + objects);
+            for (int t : {0, 5, 29}) {
+                const std::string what =
+                    std::to_string(w) + "x" + std::to_string(h) + " " +
+                    std::to_string(objects) + " objects, t " +
+                    std::to_string(t);
+                Yuv420Image wantFrame(gCtx, w, h), wantBg(gCtx, w, h);
+                wantFrame.fill(kPoison, kPoison);
+                wantBg.fill(kPoison, kPoison);
+                reference::renderFrame(gen, seed + objects, t, wantFrame);
+                reference::renderBackground(gen, seed + objects, t,
+                                            wantBg);
+                std::vector<Yuv420Image> wantObj;
+                std::vector<Plane> wantAlpha;
+                for (int o = 0; o < objects; ++o) {
+                    wantObj.emplace_back(gCtx, w, h);
+                    wantAlpha.emplace_back(gCtx, w, h);
+                    reference::renderObject(gen, t, o, wantObj.back(),
+                                            wantAlpha.back());
+                }
+                for (int threads : {1, 4}) {
+                    const PoolWidth width(threads);
+                    const std::string at =
+                        what + ", " + std::to_string(threads) + " threads";
+                    Yuv420Image frame(gCtx, w, h), bg(gCtx, w, h);
+                    frame.fill(kPoison, kPoison);
+                    bg.fill(kPoison, kPoison);
+                    gen.renderFrame(t, frame);
+                    gen.renderBackground(t, bg);
+                    for (int p = 0; p < 3; ++p) {
+                        EXPECT_EQ(planeDiff(frame.plane(p),
+                                            wantFrame.plane(p)),
+                                  "")
+                            << "renderFrame plane " << p << ", " << at;
+                        EXPECT_EQ(planeDiff(bg.plane(p), wantBg.plane(p)),
+                                  "")
+                            << "renderBackground plane " << p << ", "
+                            << at;
+                    }
+                    for (int o = 0; o < objects; ++o) {
+                        Yuv420Image obj(gCtx, w, h);
+                        Plane alpha(gCtx, w, h);
+                        obj.fill(kPoison, kPoison);
+                        alpha.fill(kPoison);
+                        gen.renderObject(t, o, obj, alpha);
+                        for (int p = 0; p < 3; ++p) {
+                            EXPECT_EQ(planeDiff(obj.plane(p),
+                                                wantObj[o].plane(p)),
+                                      "")
+                                << "renderObject " << o << " plane " << p
+                                << ", " << at;
+                        }
+                        EXPECT_EQ(planeDiff(alpha, wantAlpha[o]), "")
+                            << "renderObject " << o << " alpha, " << at;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(SceneGenerator, DeterministicAcrossInstances)
