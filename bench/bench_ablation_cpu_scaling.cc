@@ -1,11 +1,11 @@
 /**
  * @file
- * CPU scaling ablation, in two parts.
+ * CPU scaling ablation: thread scaling.
  *
- * Part 1 -- thread scaling: the paper measures a single-threaded
- * codec on single-CPU machines; this half asks the orthogonal modern
- * question: how far does the same workload scale when macroblock
- * rows are spread across host threads (docs/THREADING.md)?
+ * The paper measures a single-threaded codec on single-CPU machines;
+ * this bench asks the orthogonal modern question: how far does the
+ * same workload scale when macroblock rows are spread across host
+ * threads (docs/THREADING.md)?
  * Everything modelled -- bitstreams, memsim counters, modelled
  * seconds -- is invariant under the thread count; only real
  * wall-clock time changes, so this is the one table in the harness
@@ -14,14 +14,8 @@
  * stream, and verify the bitstream is byte-equal to the
  * single-threaded reference.  Speedup requires the host to actually
  * have that many cores; on a 1-core machine the curve is flat and
- * that is the correct answer.
- *
- * Part 2 -- the paper's stated future-work experiment: "we will
- * conduct simulation studies to determine at what ratio of
- * processor-to-memory speed ... the performance of MPEG-4 does
- * finally become memory limited" (S4).  This half scales the core
- * clock while holding DRAM latency fixed in nanoseconds, and reports
- * where DRAM stall time crosses meaningful thresholds.
+ * that is the correct answer.  The paper's processor-to-memory
+ * ratio question, which memsim models, is `bench_paper clock`.
  */
 
 #include <chrono>
@@ -29,8 +23,6 @@
 #include <thread>
 
 #include "bench/bench_util.hh"
-#include "core/machine.hh"
-#include "support/logging.hh"
 #include "support/table.hh"
 #include "support/threadpool.hh"
 
@@ -112,7 +104,6 @@ main()
             return 1;
         }
     }
-    support::ThreadPool::setGlobalThreads(1);
 
     std::cout << "\n";
     t.print();
@@ -121,45 +112,6 @@ main()
            "slices, so encode scales with\ncores until the "
            "sequential shape pass and per-VOP merge dominate "
            "(Amdahl); the\nbitstream column proves the parallel "
-           "schedule never changes the output.\n\n";
-
-    // -----------------------------------------------------------------
-    // Part 2: processor-to-memory speed ratio (modelled, thread
-    // count irrelevant by construction).
-    // -----------------------------------------------------------------
-    const core::MachineConfig base = core::o2R12k1MB();
-    const double dram_ns =
-        base.cost.dramLatency / base.cost.clockMhz * 1000.0;
-
-    TextTable f("Future work: when does MPEG-4 become memory "
-                "limited?  (clock scaling, fixed DRAM ns, 1MB L2)");
-    f.header({"clock", "CPU:DRAM ratio", "enc DRAM time",
-              "dec DRAM time", "dec L2-DRAM b/w (MB/s)",
-              "memory limited?"});
-
-    for (const int mult : {1, 2, 4, 8, 16, 32}) {
-        core::MachineConfig m = base;
-        m.cost.clockMhz = base.cost.clockMhz * mult;
-        // Same DRAM nanoseconds = proportionally more stall cycles.
-        m.cost.dramLatency = dram_ns * m.cost.clockMhz / 1000.0;
-        inform("clock x", mult);
-        const core::RunResult enc =
-            core::ExperimentRunner::runEncode(wl, m);
-        const core::RunResult dec =
-            core::ExperimentRunner::runDecode(wl, m, reference);
-        const bool limited = dec.whole.dramTime > 0.5;
-        f.row({TextTable::num(m.cost.clockMhz, 0) + " MHz",
-               TextTable::num(m.cost.dramLatency, 0) + " cyc",
-               TextTable::pct(enc.whole.dramTime),
-               TextTable::pct(dec.whole.dramTime),
-               TextTable::num(dec.whole.l2DramBwMBs, 1),
-               limited ? "YES" : "no"});
-    }
-    std::cout << "\n";
-    f.print();
-    std::cout << "\nReading: at 2003-era clock ratios the workload "
-                 "is compute bound; only at many-fold higher\n"
-                 "processor-to-memory ratios does DRAM stall time "
-                 "begin to dominate.\n";
+           "schedule never changes the output.\n";
     return 0;
 }

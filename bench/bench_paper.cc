@@ -2,19 +2,22 @@
  * @file
  * The paper's tables and figures, rendered from one memoized grid.
  *
- *   bench_paper [table1 ... table8 | fig2 | fig3 | fig4 | prefetch]...
+ *   bench_paper [table1 ... table8 | fig2 | fig3 | fig4 | prefetch |
+ *                blocking | cache_sweep | clock | codec_tools |
+ *                rd_curve]...
  *
  * Each name renders one view, in the order given; with no names every
- * view renders, in paper order.  All views read one PaperGrid
- * (bench_util.hh), so a traced (workload, machine, direction) cell
- * runs once however many views show it.  Table entries merge into
- * BENCH_paper_tables.json and figure entries into BENCH_figs.json, in
- * the directory bench_json.hh resolves.  An unknown name or any flag
- * is a usage error (exit 2).
+ * view renders, in paper order, the memsim sweeps last.  All views
+ * read one PaperGrid (bench_util.hh), so a traced (workload, machine,
+ * direction) cell runs once however many views show it.  Table
+ * entries merge into BENCH_paper_tables.json, and figure and sweep
+ * entries into BENCH_figs.json, in the directory bench_json.hh
+ * resolves.  An unknown name or any flag is a usage error (exit 2).
  */
 
 #include <algorithm>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <tuple>
@@ -158,8 +161,9 @@ renderMetricTable(const MetricTable &spec, PaperGrid &grid,
     std::vector<core::MemoryReport> columns;
     for (const auto &[w, h] : kPaperSizes) {
         for (const core::MachineConfig &m : core::paperMachines()) {
-            const GridCell &c = grid.cell({w, h, spec.numVos, spec.layers},
-                                          m, spec.direction);
+            const GridCell &c = grid.cell(
+                bench::benchWorkload(w, h, spec.numVos, spec.layers), m,
+                spec.direction);
             cells.push_back(&c);
             labels.push_back(c.label());
             columns.push_back(c.run.whole);
@@ -214,7 +218,8 @@ renderTable8(PaperGrid &grid, Entries &out)
         for (const auto &[region, dir] :
              {std::pair{"VopEncode", Direction::Encode},
               std::pair{"VopDecode", Direction::Decode}}) {
-            const GridCell &c = grid.cell({w, h}, m, dir);
+            const GridCell &c =
+                grid.cell(bench::benchWorkload(w, h, 1, 1), m, dir);
             M4PS_ASSERT(c.run.regions.count(region), "missing ", region,
                         " region");
             columns.push_back({std::string(region) + " " +
@@ -316,7 +321,8 @@ renderFig2(PaperGrid &grid, Entries &out)
 
     std::vector<const GridCell *> cells;
     for (const auto &[w, h] : sizes) {
-        const GridCell &c = grid.cell({w, h}, m, Direction::Decode);
+        const GridCell &c = grid.cell(bench::benchWorkload(w, h, 1, 1), m,
+                                      Direction::Decode);
         const core::MemoryReport &r = c.run.whole;
         cells.push_back(&c);
 
@@ -405,7 +411,8 @@ renderMissFigure(const MissFigure &fig, PaperGrid &grid, Entries &out)
             for (const auto &[dir, verb] :
                  {std::pair{Direction::Encode, "enc"},
                   std::pair{Direction::Decode, "dec"}}) {
-                const GridCell &c = grid.cell({w, h, vos, layers}, m, dir);
+                const GridCell &c = grid.cell(
+                    bench::benchWorkload(w, h, vos, layers), m, dir);
                 const std::string bench = std::string(fig.name) + "/" +
                                           verb + " " + c.workload.name;
                 out.figs.push_back(figEntry(bench, c));
@@ -442,7 +449,8 @@ renderPrefetch(PaperGrid &grid, Entries &)
         for (const auto &[dir, verb] :
              {std::pair{Direction::Encode, "encode "},
               std::pair{Direction::Decode, "decode "}}) {
-            const GridCell &cell = grid.cell({w, h}, m, dir);
+            const GridCell &cell =
+                grid.cell(bench::benchWorkload(w, h, 1, 1), m, dir);
             const auto &c = cell.run.whole.ctrs;
             const double per_load =
                 c.prefetches
@@ -471,12 +479,261 @@ renderPrefetch(PaperGrid &grid, Entries &)
            "only recover the (already small) DRAM-time column.\n";
 }
 
+// --- memsim sweeps -----------------------------------------------------
+
+/** A report field a sweep entry records, with its metric name. */
+using ReportField = std::pair<const char *, double core::MemoryReport::*>;
+
+/**
+ * The BENCH entry of one sweep row: both cells' counters and @p fields
+ * of both reports, each named with an enc_ or dec_ prefix.  Views add
+ * their other printed columns.
+ */
+BenchEntry
+sweepEntry(const std::string &bench, const GridCell &enc,
+           const GridCell &dec, std::initializer_list<ReportField> fields)
+{
+    BenchEntry e = cellEntry(bench, enc);
+    e.config.add("frames", JsonValue::of(int64_t(enc.workload.frames)));
+    for (const auto &[prefix, cell] :
+         {std::pair{"enc_", &enc}, std::pair{"dec_", &dec}}) {
+        const core::MemoryReport &r = cell->run.whole;
+        const std::string p = prefix;
+        e.metrics.add(p + "grad_loads", JsonValue::of(r.ctrs.gradLoads));
+        e.metrics.add(p + "grad_stores",
+                      JsonValue::of(r.ctrs.gradStores));
+        e.metrics.add(p + "l1_misses", JsonValue::of(r.ctrs.l1Misses));
+        e.metrics.add(p + "l2_misses", JsonValue::of(r.ctrs.l2Misses));
+        for (const auto &[name, field] : fields)
+            e.metrics.add(p + name, JsonValue::of(r.*field));
+    }
+    return e;
+}
+
+/**
+ * L1 size sweep.  §3.2 credits "the protocol-dictated blocking
+ * structure" with MPEG-4's locality: the miss rate should stay near
+ * the 32 KB value until the L1 is smaller than one motion-search
+ * window's working set (a few KB).
+ */
+void
+renderBlocking(PaperGrid &grid, Entries &out)
+{
+    const core::Workload wl = bench::benchWorkload(720, 576, 1, 1);
+
+    TextTable t("Ablation: L1 size sweep (blocking locality), "
+                "720x576, 1 VO, R12K-class core, 1MB L2");
+    t.header({"L1 size", "enc L1C miss rate", "enc line reuse",
+              "dec L1C miss rate", "dec line reuse"});
+    for (const uint64_t kb : {1, 2, 4, 8, 16, 32, 64}) {
+        core::MachineConfig m = core::o2R12k1MB();
+        m.l1.sizeBytes = kb * 1024;
+        const GridCell &enc = grid.cell(wl, m, Direction::Encode);
+        const GridCell &dec = grid.cell(wl, m, Direction::Decode);
+        const std::string size = std::to_string(kb) + "KB";
+        t.row({size, TextTable::pct(enc.run.whole.l1MissRate),
+               TextTable::num(enc.run.whole.l1LineReuse, 0),
+               TextTable::pct(dec.run.whole.l1MissRate),
+               TextTable::num(dec.run.whole.l1LineReuse, 0)});
+        out.figs.push_back(
+            sweepEntry("blocking/L1 " + size, enc, dec,
+                       {{"l1_miss_rate", &core::MemoryReport::l1MissRate},
+                        {"l1_line_reuse",
+                         &core::MemoryReport::l1LineReuse}}));
+    }
+    std::cout << "\n";
+    t.print();
+    std::cout << "\nReading: the miss rate barely moves until L1 "
+                 "drops below the search-window working set -\n"
+                 "the blocking structure, not cache capacity, "
+                 "creates the locality.\n";
+}
+
+/**
+ * L2 capacity sweep beyond the paper's 1/2/8 MB points: how quickly L2
+ * behaviour saturates, against the claim the paper refutes that large
+ * images need 12x larger L2 caches.
+ */
+void
+renderCacheSweep(PaperGrid &grid, Entries &out)
+{
+    const core::Workload wl = bench::benchWorkload(1024, 768, 1, 1);
+
+    TextTable t("Ablation: L2 capacity sweep (1024x768, 1 VO)");
+    t.header({"L2 size", "enc L2C miss rate", "enc DRAM time",
+              "dec L2C miss rate", "dec DRAM time",
+              "dec L2-DRAM b/w (MB/s)"});
+    for (const uint64_t kb :
+         {128, 256, 512, 1024, 2048, 4096, 8192, 16384}) {
+        const core::MachineConfig m = core::customL2Machine(kb * 1024);
+        const GridCell &enc = grid.cell(wl, m, Direction::Encode);
+        const GridCell &dec = grid.cell(wl, m, Direction::Decode);
+        const std::string size = m.label().substr(5);
+        t.row({size, TextTable::pct(enc.run.whole.l2MissRate),
+               TextTable::pct(enc.run.whole.dramTime),
+               TextTable::pct(dec.run.whole.l2MissRate),
+               TextTable::pct(dec.run.whole.dramTime),
+               TextTable::num(dec.run.whole.l2DramBwMBs, 1)});
+        out.figs.push_back(sweepEntry(
+            "cache_sweep/L2 " + size, enc, dec,
+            {{"l2_miss_rate", &core::MemoryReport::l2MissRate},
+             {"dram_time", &core::MemoryReport::dramTime},
+             {"l2_dram_bw_mbs", &core::MemoryReport::l2DramBwMBs}}));
+    }
+    std::cout << "\n";
+    t.print();
+}
+
+/**
+ * The paper's future-work question (§4): at what processor-to-memory
+ * speed ratio does MPEG-4 become memory limited?  Scales the clock at
+ * fixed DRAM nanoseconds until DRAM stall passes half the time.
+ */
+void
+renderClock(PaperGrid &grid, Entries &out)
+{
+    const core::Workload wl = bench::benchWorkload(720, 576, 1, 1);
+    const core::MachineConfig base = core::o2R12k1MB();
+    const double dram_ns =
+        base.cost.dramLatency / base.cost.clockMhz * 1000.0;
+
+    TextTable f("Future work: when does MPEG-4 become memory "
+                "limited?  (clock scaling, fixed DRAM ns, 1MB L2)");
+    f.header({"clock", "CPU:DRAM ratio", "enc DRAM time",
+              "dec DRAM time", "dec L2-DRAM b/w (MB/s)",
+              "memory limited?"});
+    for (const int mult : {1, 2, 4, 8, 16, 32}) {
+        core::MachineConfig m = base;
+        m.cost.clockMhz = base.cost.clockMhz * mult;
+        // Same DRAM nanoseconds = proportionally more stall cycles.
+        m.cost.dramLatency = dram_ns * m.cost.clockMhz / 1000.0;
+        const GridCell &enc = grid.cell(wl, m, Direction::Encode);
+        const GridCell &dec = grid.cell(wl, m, Direction::Decode);
+        const bool limited = dec.run.whole.dramTime > 0.5;
+        f.row({TextTable::num(m.cost.clockMhz, 0) + " MHz",
+               TextTable::num(m.cost.dramLatency, 0) + " cyc",
+               TextTable::pct(enc.run.whole.dramTime),
+               TextTable::pct(dec.run.whole.dramTime),
+               TextTable::num(dec.run.whole.l2DramBwMBs, 1),
+               limited ? "YES" : "no"});
+
+        BenchEntry e = sweepEntry(
+            "clock/x" + std::to_string(mult), enc, dec,
+            {{"dram_time", &core::MemoryReport::dramTime},
+             {"l2_dram_bw_mbs", &core::MemoryReport::l2DramBwMBs}});
+        e.metrics.add("clock_mhz", JsonValue::of(m.cost.clockMhz));
+        e.metrics.add("dram_latency", JsonValue::of(m.cost.dramLatency));
+        e.metrics.add("memory_limited", JsonValue::of(int64_t(limited)));
+        out.figs.push_back(std::move(e));
+    }
+    std::cout << "\n";
+    f.print();
+    std::cout << "\nReading: at 2003-era clock ratios the workload "
+                 "is compute bound; only at many-fold higher\n"
+                 "processor-to-memory ratios does DRAM stall time "
+                 "begin to dominate.\n";
+}
+
+/**
+ * Coding-tool contributions on the R12K/8MB machine: half-pel MC,
+ * INTER4V and MPEG matrices move bits and PSNR while the memory
+ * picture stays compute bound.
+ */
+void
+renderCodecTools(PaperGrid &grid, Entries &out)
+{
+    struct ToolConfig
+    {
+        const char *label;
+        bool halfPel;
+        bool fourMv;
+        bool mpegQuant;
+    };
+    const ToolConfig configs[] = {
+        {"full-pel, 1MV, H.263 quant", false, false, false},
+        {"+ half-pel", true, false, false},
+        {"+ INTER4V (4MV)", true, true, false},
+        {"+ MPEG matrices", true, true, true},
+    };
+    const core::MachineConfig m = core::onyx2R12k8MB();
+
+    TextTable t("Ablation: coding tools (720x576, 1 VO, R12K/8MB)");
+    t.header({"tool set", "stream bytes", "mean PSNR-Y (dB)",
+              "4MV MBs", "L1C miss rate", "DRAM time"});
+    for (const ToolConfig &tc : configs) {
+        core::Workload wl = bench::benchWorkload(720, 576, 1, 1);
+        wl.targetBps = 5e6; // quality-limited, not rate-limited
+        wl.halfPel = tc.halfPel;
+        wl.fourMv = tc.fourMv;
+        wl.mpegQuant = tc.mpegQuant;
+        const GridCell &enc = grid.cell(wl, m, Direction::Encode);
+        const GridCell &dec = grid.cell(wl, m, Direction::Decode);
+        t.row({tc.label, std::to_string(enc.run.streamBytes),
+               TextTable::num(dec.run.meanPsnrY, 2),
+               std::to_string(enc.run.enc.mb.fourMvMbs),
+               TextTable::pct(enc.run.whole.l1MissRate),
+               TextTable::pct(enc.run.whole.dramTime)});
+
+        BenchEntry e = sweepEntry(
+            std::string("codec_tools/") + tc.label, enc, dec,
+            {{"l1_miss_rate", &core::MemoryReport::l1MissRate},
+             {"dram_time", &core::MemoryReport::dramTime}});
+        e.metrics.add("stream_bytes", JsonValue::of(enc.run.streamBytes));
+        e.metrics.add("mean_psnr_y", JsonValue::of(dec.run.meanPsnrY));
+        e.metrics.add("four_mv_mbs",
+                      JsonValue::of(int64_t(enc.run.enc.mb.fourMvMbs)));
+        out.figs.push_back(std::move(e));
+    }
+    std::cout << "\n";
+    t.print();
+    std::cout << "\nReading: tools trade bits for quality, but every "
+                 "configuration stays compute bound.\n";
+}
+
+/**
+ * Rate-distortion due diligence: a monotone curve shows the memory
+ * characterization rests on a functioning encoder, and memory
+ * behaviour barely varies across the operating range.
+ */
+void
+renderRdCurve(PaperGrid &grid, Entries &out)
+{
+    const core::MachineConfig m = core::onyx2R12k8MB();
+
+    TextTable t("Rate-distortion sweep (352x288, 1 VO)");
+    t.header({"target kbit/s", "actual kbit/s", "mean PSNR-Y (dB)",
+              "enc L1C miss rate", "dec DRAM time"});
+    for (const double kbps : {64.0, 192.0, 512.0, 1536.0, 4096.0}) {
+        core::Workload wl = bench::benchWorkload(352, 288, 1, 1);
+        wl.targetBps = kbps * 1000.0;
+        const GridCell &enc = grid.cell(wl, m, Direction::Encode);
+        const GridCell &dec = grid.cell(wl, m, Direction::Decode);
+        const double actual = 8.0 * enc.run.streamBytes / wl.frames *
+                              wl.frameRate / 1000.0;
+        t.row({TextTable::num(kbps, 0), TextTable::num(actual, 0),
+               TextTable::num(dec.run.meanPsnrY, 2),
+               TextTable::pct(enc.run.whole.l1MissRate),
+               TextTable::pct(dec.run.whole.dramTime)});
+
+        BenchEntry e = sweepEntry(
+            "rd_curve/" + TextTable::num(kbps, 0) + " kbit/s", enc, dec,
+            {{"l1_miss_rate", &core::MemoryReport::l1MissRate},
+             {"dram_time", &core::MemoryReport::dramTime}});
+        e.metrics.add("target_kbps", JsonValue::of(kbps));
+        e.metrics.add("actual_kbps", JsonValue::of(actual));
+        e.metrics.add("mean_psnr_y", JsonValue::of(dec.run.meanPsnrY));
+        out.figs.push_back(std::move(e));
+    }
+    std::cout << "\n";
+    t.print();
+}
+
 // --- selection ---------------------------------------------------------
 
 using View = std::pair<std::string,
                        std::function<void(PaperGrid &, Entries &)>>;
 
-/** Every view, in paper order. */
+/** Every view: paper order, then the memsim sweeps. */
 std::vector<View>
 paperViews()
 {
@@ -494,6 +751,11 @@ paperViews()
         });
     }
     views.emplace_back("prefetch", renderPrefetch);
+    views.emplace_back("blocking", renderBlocking);
+    views.emplace_back("cache_sweep", renderCacheSweep);
+    views.emplace_back("clock", renderClock);
+    views.emplace_back("codec_tools", renderCodecTools);
+    views.emplace_back("rd_curve", renderRdCurve);
     return views;
 }
 

@@ -1,5 +1,7 @@
 #include "bench/bench_util.hh"
 
+#include <algorithm>
+
 #include "core/workload.hh"
 #include "support/logging.hh"
 
@@ -20,41 +22,38 @@ GridCell::label() const
     return workload.sizeLabel() + " " + machine.label();
 }
 
-PaperGrid::PaperGrid(int frames) : frames_(frames) {}
-
 const GridCell &
-PaperGrid::cell(const WorkloadShape &shape,
+PaperGrid::cell(const core::Workload &wl,
                 const core::MachineConfig &machine, Direction dir)
 {
-    core::Workload wl = core::paperWorkload(shape.width, shape.height,
-                                            shape.numVos, shape.layers);
-    wl.frames = frames_;
-    const char *verb = dir == Direction::Encode ? "encode" : "decode";
-    const std::string key = wl.name + " " + machine.label() + " " + verb;
-    if (const auto it = cells_.find(key); it != cells_.end())
-        return it->second;
+    const auto it =
+        std::find_if(cells_.begin(), cells_.end(), [&](const GridCell &c) {
+            return c.direction == dir && c.workload == wl &&
+                   c.machine == machine;
+        });
+    if (it != cells_.end())
+        return *it;
 
+    const char *verb = dir == Direction::Encode ? "encode" : "decode";
     inform("running ", wl.name, " on ", machine.label(), " (", verb,
            ", ", wl.frames, " frames)");
     core::RunResult r =
         dir == Direction::Encode
             ? core::ExperimentRunner::runEncode(wl, machine)
             : core::ExperimentRunner::runDecode(wl, machine, stream(wl));
-    return cells_
-        .emplace(key, GridCell{std::move(wl), machine, std::move(r)})
-        .first->second;
+    return cells_.emplace_back(GridCell{wl, machine, dir, std::move(r)});
 }
 
 const std::vector<uint8_t> &
 PaperGrid::stream(const core::Workload &wl)
 {
-    auto it = streams_.find(wl.name);
-    if (it == streams_.end())
-        it = streams_
-                 .emplace(wl.name,
-                          core::ExperimentRunner::encodeUntraced(wl))
-                 .first;
-    return it->second;
+    const auto it = std::find_if(streams_.begin(), streams_.end(),
+                                 [&](const auto &s) { return s.first == wl; });
+    if (it != streams_.end())
+        return it->second;
+    return streams_
+        .emplace_back(wl, core::ExperimentRunner::encodeUntraced(wl))
+        .second;
 }
 
 } // namespace m4ps::bench

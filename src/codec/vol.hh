@@ -33,6 +33,8 @@ struct GopConfig
     int bFrames = 2;      //!< B-VOPs between anchors (M - 1).
 
     void validate() const;
+
+    bool operator==(const GopConfig &) const = default;
 };
 
 /** Write the VOL startcode and configuration header. */

@@ -46,6 +46,8 @@ struct MachineConfig
 
     /** Build a fresh hierarchy for one experiment run. */
     std::unique_ptr<memsim::MemoryHierarchy> makeHierarchy() const;
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /** SGI O2: R12000, 1 MB secondary cache. */

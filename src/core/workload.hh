@@ -64,6 +64,8 @@ struct Workload
 
     /** Aborts with whyInvalid() unless it is empty. */
     void validate() const;
+
+    bool operator==(const Workload &) const = default;
 };
 
 /** The paper's workload for a given size / VO / layer combination. */

@@ -9,17 +9,28 @@
 namespace m4ps::memsim
 {
 
+std::string
+CacheConfig::whyInvalid() const
+{
+    if (lineBytes <= 0 ||
+        !std::has_single_bit(static_cast<uint64_t>(lineBytes)))
+        return "line size must be a power of two: " +
+               std::to_string(lineBytes);
+    if (assoc <= 0)
+        return "associativity must be positive";
+    if (sizeBytes % (static_cast<uint64_t>(lineBytes) * assoc) != 0)
+        return "size must be divisible by line*assoc";
+    if (!std::has_single_bit(numSets()))
+        return "number of sets must be a power of two: " +
+               std::to_string(numSets());
+    return "";
+}
+
 void
 CacheConfig::validate() const
 {
-    M4PS_ASSERT(lineBytes > 0 && std::has_single_bit(
-                    static_cast<uint64_t>(lineBytes)),
-                "line size must be a power of two: ", lineBytes);
-    M4PS_ASSERT(assoc > 0, "associativity must be positive");
-    M4PS_ASSERT(sizeBytes % (static_cast<uint64_t>(lineBytes) * assoc) == 0,
-                "size must be divisible by line*assoc");
-    M4PS_ASSERT(std::has_single_bit(numSets()),
-                "number of sets must be a power of two: ", numSets());
+    const std::string why = whyInvalid();
+    M4PS_ASSERT(why.empty(), "cache ", str(), ": ", why);
 }
 
 std::string

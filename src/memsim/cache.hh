@@ -39,10 +39,20 @@ struct CacheConfig
         return sizeBytes / (static_cast<uint64_t>(lineBytes) * assoc);
     }
 
-    /** Validate the geometry (power-of-two line/sets, divisibility). */
+    /**
+     * Why this geometry cannot be simulated, or "" when it can: the
+     * line size must be a power of two, the size a multiple of line
+     * size times associativity, and the set count a power of two.
+     * Does not abort, so tools can turn a bad size into a usage error.
+     */
+    std::string whyInvalid() const;
+
+    /** Aborts with whyInvalid() unless it is empty. */
     void validate() const;
 
     std::string str() const;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Outcome of a cache access. */

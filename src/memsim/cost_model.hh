@@ -54,6 +54,8 @@ struct CostModel
     }
 
     std::string str() const;
+
+    bool operator==(const CostModel &) const = default;
 };
 
 } // namespace m4ps::memsim

@@ -143,7 +143,7 @@ AdmissionController::sessionLoad() const
 
 DegradationLadder::DegradationLadder(const LadderConfig &cfg)
     : cfg_(cfg),
-      occupancyMs_(static_cast<size_t>(cfg.maxLevel) + 1, 0)
+      occupancyMs_(static_cast<size_t>(kMaxLevel) + 1, 0)
 {}
 
 void
@@ -165,7 +165,7 @@ DegradationLadder::observe(double load, int64_t nowMs)
         return level_;
     }
     const bool dwelt = nowMs - lastChangeMs_ >= cfg_.dwellMs;
-    if (load >= cfg_.stepUpLoad && level_ < cfg_.maxLevel && dwelt) {
+    if (load >= cfg_.stepUpLoad && level_ < kMaxLevel && dwelt) {
         ++level_;
         lastChangeMs_ = nowMs;
     } else if (load <= cfg_.stepDownLoad && level_ > 0 && dwelt) {

@@ -136,15 +136,15 @@ struct LadderConfig
 
     /** Minimum time between level changes (hysteresis dwell). */
     int64_t dwellMs = 500;
-
-    /** Highest tier. */
-    int maxLevel = 3;
 };
 
 /** Hysteresis quality ladder under sustained overload. */
 class DegradationLadder
 {
   public:
+    /** Highest tier: applyToSpec() defines three. */
+    static constexpr int kMaxLevel = 3;
+
     explicit DegradationLadder(const LadderConfig &cfg);
 
     int level() const { return level_; }

@@ -74,7 +74,7 @@ Server::Server(const ServerConfig &cfg)
 {
     stats_.globalQueueWatermark = cfg.globalQueueBytes;
     stats_.ladderOccupancyMs.assign(
-        static_cast<size_t>(cfg.ladder.maxLevel) + 1, 0);
+        static_cast<size_t>(DegradationLadder::kMaxLevel) + 1, 0);
 }
 
 Server::~Server()
@@ -93,7 +93,7 @@ std::vector<std::string>
 Server::eventLines() const
 {
     std::lock_guard<std::mutex> lock(logMu_);
-    return log_.lines();
+    return {log_.lines().begin(), log_.lines().end()};
 }
 
 void
@@ -193,7 +193,7 @@ Server::stop()
     {
         std::lock_guard<std::mutex> lock(statsMu_);
         ladder_.finish(monoMs());
-        for (int l = 0; l <= cfg_.ladder.maxLevel; ++l)
+        for (int l = 0; l <= DegradationLadder::kMaxLevel; ++l)
             stats_.ladderOccupancyMs[static_cast<size_t>(l)] =
                 ladder_.occupancyMs(l);
         stats_.globalQueuePeak = budget_.highWatermarkSeen();
@@ -213,7 +213,7 @@ Server::stats() const
     ServerStats s = stats_;
     s.globalQueuePeak =
         std::max(s.globalQueuePeak, budget_.highWatermarkSeen());
-    for (int l = 0; l <= cfg_.ladder.maxLevel; ++l)
+    for (int l = 0; l <= DegradationLadder::kMaxLevel; ++l)
         s.ladderOccupancyMs[static_cast<size_t>(l)] = std::max(
             s.ladderOccupancyMs[static_cast<size_t>(l)],
             ladder_.occupancyMs(l));
@@ -352,28 +352,9 @@ Server::statsJson() const
     snap.activeSessions = admission_.active();
     snap.maxSessions = cfg_.admission.maxSessions;
     snap.queueBytes = budget_.used();
-    snap.queueWatermark = cfg_.globalQueueBytes;
-    snap.queuePeak = budget_.highWatermarkSeen();
+    snap.lifetime = stats();
     {
         std::lock_guard<std::mutex> lock(statsMu_);
-        snap.ladderMaxLevel = stats_.ladderMaxLevel;
-        snap.admitted = stats_.admitted;
-        snap.completed = stats_.completed;
-        snap.checkpointed = stats_.checkpointed;
-        snap.failed = stats_.failed;
-        snap.canceled = stats_.canceled;
-        snap.badRequests = stats_.badRequests;
-        snap.idleTimeouts = stats_.idleTimeouts;
-        snap.deadlineExceeded = stats_.deadlineExceeded;
-        snap.slowReaders = stats_.slowReaders;
-        snap.shedOverloaded = stats_.shedOverloaded;
-        snap.shedDraining = stats_.shedDraining;
-        snap.shedBreaker = stats_.shedBreaker;
-        snap.packets = stats_.packets;
-        snap.payloadBytes = stats_.payloadBytes;
-        snap.retargetSteps = stats_.retargetSteps;
-        snap.fecBlocksCorrected = stats_.fecBlocksCorrected;
-        snap.fecBlocksUncorrectable = stats_.fecBlocksUncorrectable;
         snap.sloWindows = sloWindows_;
         snap.sloViolations = sloViolations_;
     }
@@ -647,6 +628,7 @@ Server::stageData(Session &s, const uint8_t *data, size_t n,
     static obs::Counter &retargetC = obs::counter("serve.retargets");
     // Backpressure retarget: budget factor per step.
     constexpr double kRetargetFactor = 0.5;
+    constexpr int kMaxRetargetSteps = 3;
     size_t off = 0;
     while (off < n) {
         const size_t chunk = std::min(cfg_.mtuBytes, n - off);
@@ -670,7 +652,7 @@ Server::stageData(Session &s, const uint8_t *data, size_t n,
         // the encoder.  Retarget the rate controller down (bounded
         // steps) so the stream shrinks instead of the queue growing.
         if (enc != nullptr && s.queue->aboveHighWater() &&
-            s.retargetSteps < cfg_.maxRetargetSteps) {
+            s.retargetSteps < kMaxRetargetSteps) {
             enc->scaleBitrate(kRetargetFactor);
             ++s.retargetSteps;
             retargetC.add();

@@ -121,47 +121,6 @@ struct ServerConfig
 
     /** Daemon-wide queued-bytes watermark (strict). */
     size_t globalQueueBytes = 4u << 20;
-
-    /** Backpressure retarget: max steps per session. */
-    int maxRetargetSteps = 3;
-};
-
-/** Aggregate daemon statistics (a consistent snapshot). */
-struct ServerStats
-{
-    uint64_t admitted = 0;
-    uint64_t shedOverloaded = 0;
-    uint64_t shedDraining = 0;
-    uint64_t shedBreaker = 0;
-
-    uint64_t completed = 0;    //!< Ok verdicts.
-    uint64_t checkpointed = 0; //!< Drain checkpoints.
-    uint64_t failed = 0;       //!< InternalError verdicts.
-    uint64_t canceled = 0;     //!< Client went away.
-    uint64_t badRequests = 0;
-    uint64_t idleTimeouts = 0;
-    uint64_t deadlineExceeded = 0;
-    uint64_t slowReaders = 0;
-
-    uint64_t packets = 0;      //!< DATA packets staged.
-    uint64_t payloadBytes = 0; //!< Elementary-stream bytes streamed.
-
-    uint64_t retargetSteps = 0;      //!< Backpressure retargets.
-    uint64_t retargetedSessions = 0; //!< Sessions with >= 1 retarget.
-
-    uint64_t fecBlocksCorrected = 0;     //!< Over decode sessions.
-    uint64_t fecBlocksUncorrectable = 0; //!< Over decode sessions.
-
-    size_t globalQueuePeak = 0;      //!< Max global queued bytes seen.
-    size_t globalQueueWatermark = 0; //!< The configured bound.
-
-    int ladderMaxLevel = 0; //!< Highest tier reached.
-    std::vector<int64_t> ladderOccupancyMs; //!< Per-level dwell time.
-
-    uint64_t shedTotal() const
-    {
-        return shedOverloaded + shedDraining + shedBreaker;
-    }
 };
 
 /** The streaming daemon. */
@@ -208,7 +167,8 @@ class Server
 
     /**
      * Event-log views, safe while sessions are still emitting: the
-     * number of events of @p type, and a copy of every line so far.
+     * number of events of @p type so far, and a copy of the lines
+     * the log retains (the most recent EventLog::kRetainedLines).
      */
     int eventCount(const std::string &type) const;
     std::vector<std::string> eventLines() const;

@@ -84,7 +84,6 @@ fillSnapshotWindow(ServiceSnapshot *snap, const StatsSample &base,
         snap->bytesPerSec =
             static_cast<double>(snap->windowPayloadBytes) / secs;
     }
-    snap->shedRate = snap->shedsPerSec;
 
     const std::vector<uint64_t> deltas = latencyBucketDeltas(base, now);
     snap->windowP50Ms =
@@ -97,6 +96,7 @@ std::string
 renderServiceSnapshot(const ServiceSnapshot &s)
 {
     using support::JsonValue;
+    const ServerStats &l = s.lifetime;
     JsonValue doc = JsonValue::makeObject();
     doc.add("schema", JsonValue::of("m4ps-stats-v1"));
     doc.add("now_ms", JsonValue::of(s.nowMs));
@@ -107,35 +107,35 @@ renderServiceSnapshot(const ServiceSnapshot &s)
     doc.add("degrade_level",
             JsonValue::of(static_cast<int64_t>(s.degradeLevel)));
     doc.add("ladder_max_level",
-            JsonValue::of(static_cast<int64_t>(s.ladderMaxLevel)));
+            JsonValue::of(static_cast<int64_t>(l.ladderMaxLevel)));
 
     JsonValue sessions = JsonValue::makeObject();
     sessions.add("active",
                  JsonValue::of(static_cast<int64_t>(s.activeSessions)));
     sessions.add("max",
                  JsonValue::of(static_cast<int64_t>(s.maxSessions)));
-    sessions.add("admitted", JsonValue::of(s.admitted));
-    sessions.add("completed", JsonValue::of(s.completed));
-    sessions.add("checkpointed", JsonValue::of(s.checkpointed));
-    sessions.add("failed", JsonValue::of(s.failed));
-    sessions.add("canceled", JsonValue::of(s.canceled));
-    sessions.add("bad_requests", JsonValue::of(s.badRequests));
-    sessions.add("idle_timeouts", JsonValue::of(s.idleTimeouts));
+    sessions.add("admitted", JsonValue::of(l.admitted));
+    sessions.add("completed", JsonValue::of(l.completed));
+    sessions.add("checkpointed", JsonValue::of(l.checkpointed));
+    sessions.add("failed", JsonValue::of(l.failed));
+    sessions.add("canceled", JsonValue::of(l.canceled));
+    sessions.add("bad_requests", JsonValue::of(l.badRequests));
+    sessions.add("idle_timeouts", JsonValue::of(l.idleTimeouts));
     sessions.add("deadline_exceeded",
-                 JsonValue::of(s.deadlineExceeded));
-    sessions.add("slow_readers", JsonValue::of(s.slowReaders));
-    sessions.add("shed_overloaded", JsonValue::of(s.shedOverloaded));
-    sessions.add("shed_draining", JsonValue::of(s.shedDraining));
-    sessions.add("shed_breaker", JsonValue::of(s.shedBreaker));
-    sessions.add("shed_total",
-                 JsonValue::of(s.shedOverloaded + s.shedDraining +
-                               s.shedBreaker));
+                 JsonValue::of(l.deadlineExceeded));
+    sessions.add("slow_readers", JsonValue::of(l.slowReaders));
+    sessions.add("shed_overloaded", JsonValue::of(l.shedOverloaded));
+    sessions.add("shed_draining", JsonValue::of(l.shedDraining));
+    sessions.add("shed_breaker", JsonValue::of(l.shedBreaker));
+    sessions.add("shed_total", JsonValue::of(l.shedTotal()));
     doc.add("sessions", std::move(sessions));
 
     JsonValue queue = JsonValue::makeObject();
     queue.add("bytes", JsonValue::of(s.queueBytes));
-    queue.add("watermark", JsonValue::of(s.queueWatermark));
-    queue.add("peak", JsonValue::of(s.queuePeak));
+    queue.add("watermark", JsonValue::of(static_cast<uint64_t>(
+                               l.globalQueueWatermark)));
+    queue.add("peak",
+              JsonValue::of(static_cast<uint64_t>(l.globalQueuePeak)));
     doc.add("queue", std::move(queue));
 
     JsonValue window = JsonValue::makeObject();
@@ -147,15 +147,15 @@ renderServiceSnapshot(const ServiceSnapshot &s)
     window.add("sessions_per_sec", JsonValue::of(s.sessionsPerSec));
     window.add("sheds_per_sec", JsonValue::of(s.shedsPerSec));
     window.add("bytes_per_sec", JsonValue::of(s.bytesPerSec));
-    window.add("shed_rate", JsonValue::of(s.shedRate));
+    window.add("shed_rate", JsonValue::of(s.shedsPerSec));
     window.add("p50_ms", JsonValue::of(s.windowP50Ms));
     window.add("p99_ms", JsonValue::of(s.windowP99Ms));
     doc.add("window", std::move(window));
 
     JsonValue lifetime = JsonValue::makeObject();
-    lifetime.add("packets", JsonValue::of(s.packets));
-    lifetime.add("payload_bytes", JsonValue::of(s.payloadBytes));
-    lifetime.add("retarget_steps", JsonValue::of(s.retargetSteps));
+    lifetime.add("packets", JsonValue::of(l.packets));
+    lifetime.add("payload_bytes", JsonValue::of(l.payloadBytes));
+    lifetime.add("retarget_steps", JsonValue::of(l.retargetSteps));
     lifetime.add("p50_ms", JsonValue::of(s.lifetimeP50Ms));
     lifetime.add("p99_ms", JsonValue::of(s.lifetimeP99Ms));
     doc.add("lifetime", std::move(lifetime));
@@ -167,9 +167,9 @@ renderServiceSnapshot(const ServiceSnapshot &s)
     doc.add("slo", std::move(slo));
 
     JsonValue fec = JsonValue::makeObject();
-    fec.add("blocks_corrected", JsonValue::of(s.fecBlocksCorrected));
+    fec.add("blocks_corrected", JsonValue::of(l.fecBlocksCorrected));
     fec.add("blocks_uncorrectable",
-            JsonValue::of(s.fecBlocksUncorrectable));
+            JsonValue::of(l.fecBlocksUncorrectable));
     doc.add("fec", std::move(fec));
 
     return support::writeJson(doc, 0);

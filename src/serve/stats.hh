@@ -15,7 +15,7 @@
  * ring-capacity x interval seconds - a sliding window that starts as
  * "since start" until the ring fills and then follows live traffic.
  *
- * ServiceSnapshot is the flat answer struct; renderServiceSnapshot
+ * ServiceSnapshot is the answer struct; renderServiceSnapshot
  * serializes it as the "m4ps-stats-v1" JSON document the wire
  * carries (docs/OBSERVABILITY.md documents the schema).
  */
@@ -83,6 +83,44 @@ class SnapshotRing
     size_t capacity_;
 };
 
+/** Aggregate daemon statistics (a consistent snapshot). */
+struct ServerStats
+{
+    uint64_t admitted = 0;
+    uint64_t shedOverloaded = 0;
+    uint64_t shedDraining = 0;
+    uint64_t shedBreaker = 0;
+
+    uint64_t completed = 0;    //!< Ok verdicts.
+    uint64_t checkpointed = 0; //!< Drain checkpoints.
+    uint64_t failed = 0;       //!< InternalError verdicts.
+    uint64_t canceled = 0;     //!< Client went away.
+    uint64_t badRequests = 0;
+    uint64_t idleTimeouts = 0;
+    uint64_t deadlineExceeded = 0;
+    uint64_t slowReaders = 0;
+
+    uint64_t packets = 0;      //!< DATA packets staged.
+    uint64_t payloadBytes = 0; //!< Elementary-stream bytes streamed.
+
+    uint64_t retargetSteps = 0;      //!< Backpressure retargets.
+    uint64_t retargetedSessions = 0; //!< Sessions with >= 1 retarget.
+
+    uint64_t fecBlocksCorrected = 0;     //!< Over decode sessions.
+    uint64_t fecBlocksUncorrectable = 0; //!< Over decode sessions.
+
+    size_t globalQueuePeak = 0;      //!< Max global queued bytes seen.
+    size_t globalQueueWatermark = 0; //!< The configured bound.
+
+    int ladderMaxLevel = 0; //!< Highest tier reached.
+    std::vector<int64_t> ladderOccupancyMs; //!< Per-level dwell time.
+
+    uint64_t shedTotal() const
+    {
+        return shedOverloaded + shedDraining + shedBreaker;
+    }
+};
+
 /** Everything one STATS reply carries (schema "m4ps-stats-v1"). */
 struct ServiceSnapshot
 {
@@ -92,31 +130,14 @@ struct ServiceSnapshot
     std::string endpoint;
     bool draining = false;
     int degradeLevel = 0;
-    int ladderMaxLevel = 0;
 
     int activeSessions = 0;
     int maxSessions = 0;
 
     uint64_t queueBytes = 0;
-    uint64_t queueWatermark = 0;
-    uint64_t queuePeak = 0;
 
-    // Lifetime cumulative counters (mirrors ServerStats).
-    uint64_t admitted = 0;
-    uint64_t completed = 0;
-    uint64_t checkpointed = 0;
-    uint64_t failed = 0;
-    uint64_t canceled = 0;
-    uint64_t badRequests = 0;
-    uint64_t idleTimeouts = 0;
-    uint64_t deadlineExceeded = 0;
-    uint64_t slowReaders = 0;
-    uint64_t shedOverloaded = 0;
-    uint64_t shedDraining = 0;
-    uint64_t shedBreaker = 0;
-    uint64_t packets = 0;
-    uint64_t payloadBytes = 0;
-    uint64_t retargetSteps = 0;
+    /** Lifetime counters, queue peak and watermark, ladder top. */
+    ServerStats lifetime;
     double lifetimeP50Ms = 0.0;
     double lifetimeP99Ms = 0.0;
 
@@ -127,9 +148,8 @@ struct ServiceSnapshot
     uint64_t windowShed = 0;
     uint64_t windowPayloadBytes = 0;
     double sessionsPerSec = 0.0; //!< Terminal verdicts per second.
-    double shedsPerSec = 0.0;
+    double shedsPerSec = 0.0; //!< Also the "shed_rate" scrape key.
     double bytesPerSec = 0.0;
-    double shedRate = 0.0; //!< Same as shedsPerSec (CI scrape key).
     double windowP50Ms = 0.0;
     double windowP99Ms = 0.0;
 
@@ -137,10 +157,6 @@ struct ServiceSnapshot
     int64_t sloP99TargetMs = 0;
     uint64_t sloWindows = 0;    //!< Evaluated stats intervals.
     uint64_t sloViolations = 0; //!< Intervals with p99 over target.
-
-    // FEC channel health over this daemon's decode sessions.
-    uint64_t fecBlocksCorrected = 0;
-    uint64_t fecBlocksUncorrectable = 0;
 };
 
 /**

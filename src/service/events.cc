@@ -139,13 +139,16 @@ EventLog::emit(const JsonEvent &e)
     // Cross-process correlation: when a batch/daemon trace id is set
     // (obs::setTraceId), every event line carries it, so the logs of
     // a supervisor and its forked workers join on one key.  Appended
-    // at the closing brace - count() matches on the line prefix.
+    // at the closing brace.
     std::string line = e.line();
     const std::string trace_id = obs::traceId();
     if (!trace_id.empty() && !line.empty() && line.back() == '}') {
         line.pop_back();
         line += ",\"trace_id\":\"" + support::jsonEscaped(trace_id) + "\"}";
     }
+    ++counts_[e.type()];
+    if (lines_.size() == kRetainedLines)
+        lines_.pop_front();
     lines_.push_back(std::move(line));
     if (os_) {
         *os_ << lines_.back() << '\n';
@@ -164,14 +167,8 @@ EventLog::emit(const JsonEvent &e)
 int
 EventLog::count(const std::string &type) const
 {
-    const std::string needle =
-        "{\"event\":\"" + support::jsonEscaped(type) + "\"";
-    int n = 0;
-    for (const std::string &l : lines_) {
-        if (l.compare(0, needle.size(), needle) == 0)
-            ++n;
-    }
-    return n;
+    const auto it = counts_.find(type);
+    return it == counts_.end() ? 0 : it->second;
 }
 
 } // namespace m4ps::service

@@ -16,9 +16,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace m4ps::service
 {
@@ -95,8 +96,10 @@ class RotatingLogSink
 };
 
 /**
- * An append-only JSON-lines event log.  Events are always retained
- * in memory (tests assert on them); attach() additionally streams
+ * An append-only JSON-lines event log.  The most recent
+ * kRetainedLines lines stay in memory and every event type keeps an
+ * exact count (tests assert on both), so a daemon that logs for its
+ * whole life holds a constant amount; attach() additionally streams
  * each line to an ostream, flushed per event so a crashing
  * supervisor leaves a complete prefix behind.
  *
@@ -110,6 +113,9 @@ class RotatingLogSink
 class EventLog
 {
   public:
+    /** Lines kept in memory; older ones are dropped, oldest first. */
+    static constexpr size_t kRetainedLines = 4096;
+
     EventLog() = default;
 
     /** Also write each event line to @p os (not owned; may be null). */
@@ -120,15 +126,17 @@ class EventLog
 
     void emit(const JsonEvent &e);
 
-    const std::vector<std::string> &lines() const { return lines_; }
+    /** The most recent lines, oldest first (at most kRetainedLines). */
+    const std::deque<std::string> &lines() const { return lines_; }
 
-    /** Count of events whose type field equals @p type. */
+    /** Count of every event ever emitted whose type is @p type. */
     int count(const std::string &type) const;
 
   private:
     std::ostream *os_ = nullptr;
     RotatingLogSink *rot_ = nullptr;
-    std::vector<std::string> lines_;
+    std::deque<std::string> lines_;
+    std::map<std::string, int> counts_;
 };
 
 } // namespace m4ps::service

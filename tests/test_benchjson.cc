@@ -10,8 +10,9 @@
  * *extra* benches/metrics never fail the comparison.
  *
  * Also the memoized experiment grid behind bench_paper
- * (bench/bench_util.hh): a cell runs once, and its counters are those
- * of a direct traced run of the same workload on the same machine.
+ * (bench/bench_util.hh): a cell runs once, it is found by the whole
+ * workload and the whole machine, and its counters are those of a
+ * direct traced run of the same workload on the same machine.
  */
 
 #include <gtest/gtest.h>
@@ -275,8 +276,15 @@ TEST(BenchDiff, RejectsDocumentsWithoutBenchesArray)
 // --- the memoized paper grid ------------------------------------------
 
 /** Tiny paper workload: the grid's logic, not the codec, is on test. */
-const bench::WorkloadShape kTiny{64, 64, 1, 1};
 constexpr int kTinyFrames = 2;
+
+core::Workload
+tinyWorkload()
+{
+    core::Workload wl = core::paperWorkload(64, 64, 1, 1);
+    wl.frames = kTinyFrames;
+    return wl;
+}
 
 size_t
 runLines(const std::string &out)
@@ -290,7 +298,8 @@ runLines(const std::string &out)
 
 TEST(PaperGrid, RepeatRequestReturnsTheStoredCellWithoutRerunning)
 {
-    bench::PaperGrid grid(kTinyFrames);
+    bench::PaperGrid grid;
+    const core::Workload kTiny = tinyWorkload();
     const core::MachineConfig m = core::o2R12k1MB();
 
     ::testing::internal::CaptureStdout();
@@ -325,7 +334,8 @@ TEST(PaperGrid, RepeatRequestReturnsTheStoredCellWithoutRerunning)
 
 TEST(PaperGrid, CellsEqualDirectRunsOnTheirOwnMachine)
 {
-    bench::PaperGrid grid(kTinyFrames);
+    bench::PaperGrid grid;
+    const core::Workload kTiny = tinyWorkload();
     for (const core::MachineConfig &m : core::paperMachines()) {
         ::testing::internal::CaptureStdout();
         const bench::GridCell &enc =
@@ -376,6 +386,55 @@ TEST(PaperGrid, CellsEqualDirectRunsOnTheirOwnMachine)
         EXPECT_EQ(metrics.numberOr("l2_misses", -1),
                   double(directDec.whole.ctrs.l2Misses));
     }
+}
+
+TEST(PaperGrid, CellsAreKeyedByTheWholeWorkloadAndMachine)
+{
+    // Sweep points share a workload name or a machine label with the
+    // paper's cells; each must still be a cell of its own.
+    bench::PaperGrid grid;
+    const core::Workload tiny = tinyWorkload();
+    const core::MachineConfig o2 = core::o2R12k1MB();
+    const core::MachineConfig custom = core::customL2Machine(1 << 20);
+    core::MachineConfig smallL1 = o2;
+    smallL1.l1.sizeBytes = 1024;
+    ASSERT_EQ(o2.label(), custom.label());
+    ASSERT_EQ(o2.label(), smallL1.label());
+
+    ::testing::internal::CaptureStdout();
+    const bench::GridCell &onO2 =
+        grid.cell(tiny, o2, bench::Direction::Decode);
+    const bench::GridCell &onCustom =
+        grid.cell(tiny, custom, bench::Direction::Decode);
+    const bench::GridCell &onSmallL1 =
+        grid.cell(tiny, smallL1, bench::Direction::Decode);
+    EXPECT_EQ(runLines(::testing::internal::GetCapturedStdout()), 3u);
+    EXPECT_NE(&onCustom, &onO2);
+    EXPECT_NE(onCustom.run.whole.ctrs.stallDramCycles,
+              onO2.run.whole.ctrs.stallDramCycles);
+    EXPECT_NE(&onSmallL1, &onO2);
+    EXPECT_GT(onSmallL1.run.whole.ctrs.l1Misses,
+              onO2.run.whole.ctrs.l1Misses);
+
+    // Same name, different rate: each decode reads its own stream.
+    core::Workload fast = tiny;
+    fast.targetBps = 1e6;
+    ASSERT_EQ(fast.name, tiny.name);
+    ::testing::internal::CaptureStdout();
+    const bench::GridCell &slowDec =
+        grid.cell(tiny, o2, bench::Direction::Decode);
+    const bench::GridCell &fastDec =
+        grid.cell(fast, o2, bench::Direction::Decode);
+    EXPECT_EQ(runLines(::testing::internal::GetCapturedStdout()), 1u)
+        << "the repeated request must not run again";
+    EXPECT_EQ(&slowDec, &onO2);
+    const uint64_t slowBytes =
+        core::ExperimentRunner::encodeUntraced(tiny).size();
+    const uint64_t fastBytes =
+        core::ExperimentRunner::encodeUntraced(fast).size();
+    EXPECT_NE(slowBytes, fastBytes);
+    EXPECT_EQ(slowDec.run.streamBytes, slowBytes);
+    EXPECT_EQ(fastDec.run.streamBytes, fastBytes);
 }
 
 } // namespace

@@ -459,7 +459,6 @@ TEST(ServeLadder, StepsUpWithDwellHysteresis)
     cfg.stepUpLoad = 0.85;
     cfg.stepDownLoad = 0.50;
     cfg.dwellMs = 100;
-    cfg.maxLevel = 3;
     DegradationLadder ladder(cfg);
 
     EXPECT_EQ(ladder.observe(0.95, 0), 0);   // anchors the dwell clock
@@ -468,7 +467,7 @@ TEST(ServeLadder, StepsUpWithDwellHysteresis)
     EXPECT_EQ(ladder.observe(0.95, 150), 1);
     EXPECT_EQ(ladder.observe(0.95, 200), 2);
     EXPECT_EQ(ladder.observe(0.95, 300), 3);
-    EXPECT_EQ(ladder.observe(0.95, 1000), 3); // clamped at maxLevel
+    EXPECT_EQ(ladder.observe(0.95, 1000), 3); // clamped at kMaxLevel
 }
 
 TEST(ServeLadder, MidBandHoldsAndLowLoadStepsDown)
@@ -869,7 +868,6 @@ TEST(Serve, StalledReaderIsShedWithinThePushBudget)
     cfg.sessionQueueHighBytes = 32 * 1024; // gate quickly
     cfg.sessionQueueLowBytes = 8 * 1024;
     cfg.sockSndbufBytes = 16 * 1024; // no hiding in kernel buffers
-    cfg.maxRetargetSteps = 0; // isolate the stall path from retarget
     Server server(cfg);
     server.start();
 

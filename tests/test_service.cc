@@ -361,6 +361,26 @@ TEST(Events, CountsByType)
     EXPECT_EQ(log.count("c"), 0);
 }
 
+TEST(Events, RetainsARecentWindowWithExactCounts)
+{
+    // A daemon logs for its whole life: only the most recent lines
+    // stay in memory, while each type's count covers every event.
+    EventLog log;
+    const size_t total = EventLog::kRetainedLines + 100;
+    for (size_t i = 0; i < total; ++i) {
+        log.emit(JsonEvent(i % 2 == 0 ? "even" : "odd")
+                     .num("i", static_cast<int64_t>(i)));
+    }
+    ASSERT_EQ(log.lines().size(), EventLog::kRetainedLines);
+    EXPECT_EQ(log.lines().front(), "{\"event\":\"even\",\"i\":100}");
+    EXPECT_EQ(log.lines().back(),
+              "{\"event\":\"odd\",\"i\":" + std::to_string(total - 1) +
+                  "}");
+    EXPECT_EQ(log.count("even"), static_cast<int>((total + 1) / 2));
+    EXPECT_EQ(log.count("odd"), static_cast<int>(total / 2));
+    EXPECT_EQ(log.count("none"), 0);
+}
+
 TEST(Events, StreamsToAttachedSink)
 {
     std::ostringstream os;

@@ -123,7 +123,6 @@ TEST(StatsWindow, RatesComeFromRingDeltasNotLifetimeAverages)
     EXPECT_EQ(snap.windowShed, 4u);
     EXPECT_DOUBLE_EQ(snap.sessionsPerSec, 11.0);
     EXPECT_DOUBLE_EQ(snap.shedsPerSec, 2.0);
-    EXPECT_DOUBLE_EQ(snap.shedRate, 2.0);
     EXPECT_DOUBLE_EQ(snap.bytesPerSec, 2000.0);
 }
 

@@ -307,8 +307,13 @@ runMain(int argc, char **argv)
     core::MachineConfig machine;
     std::string preset;
     if (args.has("l2kb")) {
-        machine = core::customL2Machine(
-            static_cast<uint64_t>(args.getInt("l2kb", 1024)) * 1024);
+        const int l2kb = args.getInt("l2kb", 1024);
+        if (l2kb < 1)
+            throw ArgError("--l2kb must be >= 1, got " +
+                           std::to_string(l2kb));
+        machine = core::customL2Machine(static_cast<uint64_t>(l2kb) * 1024);
+        if (const std::string why = machine.l2.whyInvalid(); !why.empty())
+            throw ArgError("--l2kb " + std::to_string(l2kb) + ": " + why);
         preset = "custom";
     } else {
         preset = args.get("machine", "o2");
