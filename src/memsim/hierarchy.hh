@@ -12,20 +12,27 @@
  * Parallel runs: cache state is inherently order dependent, so
  * worker threads never touch it directly.  orderedParallelFor() gives
  * each task (one macroblock row) its own recording shard: every
- * access the task performs is recorded instead of simulated.  As
- * soon as a task and every task before it have finished, its shard
- * is replayed against the real cache model, one shard at a time in
- * task order, while later tasks are still running.  Because the
- * sequential codec processes rows in exactly that order, the counters
- * are bit-identical to a single-threaded run - no locks, no atomics
- * on the hot path, exact statistics.
+ * access the task performs is recorded instead of simulated, split at
+ * record time into one stream of in-order counter increments and one
+ * stream of line touches per cache-set partition group.  No two
+ * groups share an L1 or an L2 set, so each group's touches evolve its
+ * sets exactly as the whole program order would.  As soon as a task
+ * and every task before it have finished, each stream of its shard
+ * is replayed, in task order, by that stream's lane, while later
+ * tasks are still running: the lanes run on different threads at
+ * once.  Because the sequential codec processes rows in exactly that
+ * order, the counters are bit-identical to a single-threaded run - no
+ * locks, no atomics on the hot path, exact statistics.
  */
 
 #ifndef M4PS_MEMSIM_HIERARCHY_HH
 #define M4PS_MEMSIM_HIERARCHY_HH
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "memsim/cache.hh"
 #include "memsim/cost_model.hh"
@@ -35,17 +42,28 @@
 namespace m4ps::memsim
 {
 
+struct TraceShard;
+class OrderedRegion;
+
 /** L1 + L2 + DRAM model with perfex-style counters. */
 class MemoryHierarchy
 {
   public:
+    /** L1 lines must be at least 4 bytes, and L2 lines no smaller. */
     MemoryHierarchy(const CacheConfig &l1, const CacheConfig &l2,
                     const CostModel &cost);
+    ~MemoryHierarchy();
 
-    /** One graduated load of @p bytes at @p addr. */
+    MemoryHierarchy(const MemoryHierarchy &) = delete;
+    MemoryHierarchy &operator=(const MemoryHierarchy &) = delete;
+
+    /**
+     * One graduated load of @p bytes (at least 1) at @p addr: touches
+     * the line of its first byte, and of its last byte if that differs.
+     */
     void load(uint64_t addr, int bytes);
 
-    /** One graduated store of @p bytes at @p addr. */
+    /** One graduated store of @p bytes (at least 1) at @p addr. */
     void store(uint64_t addr, int bytes);
 
     /**
@@ -68,7 +86,13 @@ class MemoryHierarchy
     /** Charge @p cycles of pure compute (entropy coding etc.). */
     void tick(double cycles);
 
-    const CounterSet &counters() const { return ctrs_; }
+    /**
+     * The counters so far.  Each stall-cycle double is the
+     * left-to-right sum of one constant per miss, as if it had been
+     * added at every miss.  Not for concurrent calls.
+     */
+    CounterSet counters() const;
+
     RegionProfiler &profiler() { return prof_; }
     const RegionProfiler &profiler() const { return prof_; }
 
@@ -79,7 +103,7 @@ class MemoryHierarchy
     /** Modelled execution time so far, in seconds. */
     double elapsedSeconds() const
     {
-        return cost_.seconds(ctrs_.totalCycles());
+        return cost_.seconds(counters().totalCycles());
     }
 
     /**
@@ -125,31 +149,62 @@ class MemoryHierarchy
     static std::string counterArgsJson(const CounterSet &c);
 
   private:
-    /** A task's recorded accesses (hierarchy.cc). */
+    /** A task's recorded accesses, and a traced region (hierarchy.cc). */
     friend struct TraceShard;
+    friend class OrderedRegion;
+
+    /**
+     * n copies of a constant summed left to right, memoized: each call
+     * continues from the last, as miss counts never shrink.
+     */
+    class RepeatedSum
+    {
+      public:
+        explicit RepeatedSum(double value) : value_(value) {}
+
+        double of(uint64_t n);
+
+      private:
+        double value_;
+        uint64_t n_ = 0;
+        double sum_ = 0;
+    };
 
     /** Demand access to one L1 line: inline MRU hit, else the slow path. */
-    void touchLine(uint64_t addr, bool is_write);
+    void touchLine(uint64_t addr, bool is_write, CounterSet &c);
 
     /** touchLine() when the line is not the MRU line of its L1 set. */
-    void touchLineSlow(uint64_t addr, bool is_write);
+    void touchLineSlow(uint64_t addr, bool is_write, CounterSet &c);
 
     /** Write a dirty L1 victim down into L2. */
-    void writebackToL2(uint64_t addr);
+    void writebackToL2(uint64_t addr, CounterSet &c);
 
-    // Immediate (cache-touching) counterparts of the public API.
-    void loadNow(uint64_t addr, int bytes);
-    void storeNow(uint64_t addr, int bytes);
-    void loadRowNow(uint64_t addr, uint64_t bytes, uint64_t elems);
-    void storeRowNow(uint64_t addr, uint64_t bytes, uint64_t elems);
-    void prefetchNow(uint64_t addr);
+    /** The cache side of a software prefetch of @p addr's line. */
+    void prefetchLine(uint64_t addr, CounterSet &c);
+
+    /** A spare shard, its streams' capacity kept, or a new one. */
+    std::unique_ptr<TraceShard> takeShard();
+
+    /** Keep a replayed @p shard for reuse while fewer than @p bound are. */
+    void recycleShard(std::unique_ptr<TraceShard> shard, size_t bound);
 
     Cache l1_;
     Cache l2_;
     CostModel cost_;
-    CounterSet ctrs_;
+    CounterSet ctrs_; //!< Every counter but the two stall doubles.
+    mutable RepeatedSum l2Stall_;
+    mutable RepeatedSum dramStall_;
     RegionProfiler prof_;
     uint64_t l1LineMask_;
+    /**
+     * Address bits [partitionLo_, partitionHi_) lie in both the L1 and
+     * the L2 set index; lines that differ there share no set.
+     */
+    int partitionLo_;
+    int partitionHi_;
+
+    std::mutex spareMu_;
+    std::vector<std::unique_ptr<TraceShard>> spares_; //!< Under spareMu_.
 };
 
 /**
@@ -157,13 +212,17 @@ class MemoryHierarchy
  * and leave @p mem's counters exactly as if the tasks had run one
  * after another in index order.
  *
- * When @p mem is non-null, the pool has more than one thread and
- * @p n > 1, the pool threads claim tasks in index order, each task
- * records its accesses into a shard of its own, and finished shards
- * are replayed in index order while later tasks still run; each
- * shard is freed once replayed.  Otherwise the tasks simulate
- * directly.  A recording task must not start another recording
- * region, and must not read @p mem's counters.
+ * When @p mem is non-null, the pool has P > 1 threads and @p n > 1,
+ * the pool threads claim tasks in index order, and each task records
+ * its accesses into a shard of its own, split into an in-order stream
+ * and one line stream per partition group (G groups: the largest
+ * power of two no larger than P or the cache geometry's partition
+ * count).  G + 1 lanes, each with its own cursor, replay their stream
+ * of every finished shard in index order while later tasks still
+ * run; the last lane to finish a shard hands it back to @p mem for
+ * reuse.  Otherwise the tasks simulate directly.  A recording task
+ * must not start another recording region, and must not read
+ * @p mem's counters.
  *
  * If tasks throw in a recording region, let k be the lowest index
  * that threw: the counters and cache state are exactly those of

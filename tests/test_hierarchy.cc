@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -194,6 +195,60 @@ TEST(Hierarchy, ExposureScalesStalls)
     mh.load(0, 1);
     EXPECT_DOUBLE_EQ(mh.counters().stallL2Cycles, 5.0);
     EXPECT_DOUBLE_EQ(mh.counters().stallDramCycles, 25.0);
+}
+
+/** @p n copies of @p value added one at a time, left to right. */
+double
+addedPerMiss(double value, uint64_t n)
+{
+    double sum = 0;
+    for (uint64_t i = 0; i < n; ++i)
+        sum += value;
+    return sum;
+}
+
+TEST(Hierarchy, StallCyclesAreTheRepeatedSumOfTheirConstant)
+{
+    CostModel cm = unitCost();
+    cm.l2HitLatency = 12.0;
+    cm.l2Exposure = 0.35; // 12 x 0.35 is not exact in binary
+    cm.dramLatency = 90.0;
+    cm.dramExposure = 0.65;
+    const double l2Stall = cm.l2HitLatency * cm.l2Exposure;
+    const double dramStall = cm.dramLatency * cm.dramExposure;
+    MemoryHierarchy mh(kL1, kL2, cm);
+
+    Rng rng(25);
+    for (int i = 0; i < 400; ++i)
+        mh.load(rng.next() % 65536, 1 + static_cast<int>(rng.next() % 4));
+    const CounterSet mid = mh.counters();
+    ASSERT_GT(mid.l2Misses, 100u);
+    // A product would round differently, so the comparison below can
+    // tell a repeated sum from n times the constant.
+    ASSERT_NE(addedPerMiss(l2Stall, mid.l1Misses),
+              l2Stall * static_cast<double>(mid.l1Misses));
+    EXPECT_EQ(mid.stallL2Cycles, addedPerMiss(l2Stall, mid.l1Misses));
+    EXPECT_EQ(mid.stallDramCycles, addedPerMiss(dramStall, mid.l2Misses));
+    EXPECT_TRUE(mh.counters() == mid);
+
+    {
+        MemoryHierarchy::ScopedRegion region(mh, "stores");
+        for (int i = 0; i < 400; ++i)
+            mh.store(rng.next() % 65536, 2);
+    }
+    const CounterSet end = mh.counters();
+    ASSERT_GT(end.l1Misses, mid.l1Misses);
+    EXPECT_EQ(end.stallL2Cycles, addedPerMiss(l2Stall, end.l1Misses));
+    EXPECT_EQ(end.stallDramCycles, addedPerMiss(dramStall, end.l2Misses));
+
+    // The region's delta is what a per-miss accumulator read before
+    // and after it would give.
+    const CounterSet delta = mh.profiler().get("stores");
+    EXPECT_EQ(delta.stallL2Cycles, addedPerMiss(l2Stall, end.l1Misses) -
+                                       addedPerMiss(l2Stall, mid.l1Misses));
+    EXPECT_EQ(delta.stallDramCycles,
+              addedPerMiss(dramStall, end.l2Misses) -
+                  addedPerMiss(dramStall, mid.l2Misses));
 }
 
 TEST(Hierarchy, ScopedRegionCapturesDelta)
@@ -443,6 +498,144 @@ TEST(OrderedParallelFor, ThrowingTaskLeavesEveryThreadSimulatingDirectly)
         EXPECT_EQ(seen[i], 1u) << "task " << i;
 }
 
+/** An L1 and an L2 whose set indices share some address bits. */
+struct Geometry
+{
+    CacheConfig l1;
+    CacheConfig l2;
+};
+
+/**
+ * Seeded random geometry whose L1 and L2 set indices share exactly
+ * @p bits address bits, so its lines fall into 2^bits partitions.
+ */
+Geometry
+randomGeometry(Rng &rng, int bits)
+{
+    const int l1Line = static_cast<int>(rng.uniformInt(4, 6));
+    const int l2Line = l1Line + static_cast<int>(rng.uniformInt(0, 2));
+    int l1SetBits = 0;
+    int l2SetBits = static_cast<int>(rng.uniformInt(2, 6));
+    if (bits == 0) {
+        // The L1 set index ends at or below the L2 line offset.
+        l1SetBits = static_cast<int>(rng.uniformInt(0, l2Line - l1Line));
+    } else {
+        // One set index ends `bits` above the L2 line offset, the
+        // other there or higher.
+        const int slack = static_cast<int>(rng.uniformInt(0, 1));
+        const bool l1Binds = rng.next() % 2 == 0;
+        l1SetBits = l2Line + bits + (l1Binds ? 0 : slack) - l1Line;
+        l2SetBits = bits + (l1Binds ? slack : 0);
+    }
+    const int l1Assoc = 1 << rng.uniformInt(0, 2);
+    const int l2Assoc = 1 << rng.uniformInt(0, 2);
+    return {{(uint64_t{1} << (l1Line + l1SetBits)) * l1Assoc, l1Assoc,
+             1 << l1Line},
+            {(uint64_t{1} << (l2Line + l2SetBits)) * l2Assoc, l2Assoc,
+             1 << l2Line}};
+}
+
+/** Address bits both set indices contain (the partition bits). */
+int
+sharedSetBits(const Geometry &g)
+{
+    const int l1Lo = std::countr_zero(static_cast<uint64_t>(g.l1.lineBytes));
+    const int l2Lo = std::countr_zero(static_cast<uint64_t>(g.l2.lineBytes));
+    const int hi = std::min(l1Lo + std::countr_zero(g.l1.numSets()),
+                            l2Lo + std::countr_zero(g.l2.numSets()));
+    return std::max(0, hi - std::max(l1Lo, l2Lo));
+}
+
+/**
+ * Task @p task's seeded mix of every access kind over @p span bytes,
+ * with rows long enough to cross several partition blocks.
+ */
+void
+runGeometryMix(MemoryHierarchy &mh, int task, uint64_t span)
+{
+    Rng rng(7000 + static_cast<uint64_t>(task));
+    for (int op = 0; op < 400; ++op) {
+        const uint64_t addr = rng.next() % span;
+        switch (rng.next() % 7) {
+          case 0:
+            mh.load(addr, 1 + static_cast<int>(rng.next() % 8));
+            break;
+          case 1:
+            mh.store(addr, 1 + static_cast<int>(rng.next() % 8));
+            break;
+          case 2: {
+            // Consecutive elements: the same line again and again.
+            for (uint64_t k = 0; k < 16; ++k)
+                mh.store(addr + 2 * k, 2);
+            break;
+          }
+          case 3: {
+            const uint64_t bytes = 1 + rng.next() % (span / 32);
+            mh.loadRow(addr, bytes, bytes);
+            break;
+          }
+          case 4: {
+            const uint64_t elems = rng.next() % 64;
+            mh.storeRow(addr, elems, elems);
+            break;
+          }
+          case 5:
+            mh.prefetch(addr);
+            break;
+          default:
+            mh.tick(rng.uniformReal(0.0, 50.0));
+            break;
+        }
+    }
+}
+
+TEST(OrderedParallelFor, PartitionedReplayMatchesSequentialOnRandomGeometries)
+{
+    CostModel cm = unitCost();
+    cm.cyclesPerAccess = 0.7; // inexact, so cycle sums depend on order
+    cm.l2Exposure = 0.35;
+    Rng rng(2025);
+    for (const int bits : {0, 2, 7}) {
+        for (int trial = 0; trial < 3; ++trial) {
+            const Geometry g = randomGeometry(rng, bits);
+            ASSERT_EQ(sharedSetBits(g), bits)
+                << g.l1.str() << " / " << g.l2.str();
+            const uint64_t span = 2 * std::max(g.l1.sizeBytes, g.l2.sizeBytes);
+
+            MemoryHierarchy seq(g.l1, g.l2, cm);
+            seq.load(0x40, 4);
+            {
+                MemoryHierarchy::ScopedRegion region(seq, "tasks");
+                for (int i = 0; i < kTasks; ++i)
+                    runGeometryMix(seq, i, span);
+            }
+            ASSERT_GT(seq.counters().l1Writebacks, 0u);
+            ASSERT_GT(seq.counters().prefetchFills, 0u);
+
+            for (const int threads : {2, 3, 4, 8}) {
+                const GlobalThreads pool(threads);
+                MemoryHierarchy mh(g.l1, g.l2, cm);
+                mh.load(0x40, 4);
+                {
+                    MemoryHierarchy::ScopedRegion region(mh, "tasks");
+                    orderedParallelFor(&mh, kTasks, [&](int i) {
+                        runGeometryMix(mh, i, span);
+                    });
+                }
+                EXPECT_TRUE(mh.counters() == seq.counters())
+                    << g.l1.str() << " / " << g.l2.str() << ", "
+                    << threads << " threads:\n"
+                    << mh.counters().str() << "\nexpected:\n"
+                    << seq.counters().str();
+                EXPECT_TRUE(mh.profiler().get("tasks") ==
+                            seq.profiler().get("tasks"))
+                    << g.l1.str() << " / " << g.l2.str() << ", "
+                    << threads << " threads";
+            }
+        }
+    }
+}
+
 TEST(HierarchyDeathTest, L2LineSmallerThanL1Rejected)
 {
     CacheConfig l2small{16 * 1024, 2, 16};
@@ -476,6 +669,17 @@ TEST(HierarchyDeathTest, RecordedRowTooLargeRejected)
                                     }),
                  "row op too large to record");
     ::testing::GTEST_FLAG(death_test_style) = style;
+}
+
+/**
+ * An element access touches the lines of its first and last byte, so
+ * it needs at least one byte: a 0-byte load used to count two misses.
+ */
+TEST(HierarchyDeathTest, ElementAccessOfLessThanOneByteRejected)
+{
+    MemoryHierarchy mh(kL1, kL2, unitCost());
+    EXPECT_DEATH(mh.load(64, 0), "element access of less than one byte");
+    EXPECT_DEATH(mh.store(64, -8), "element access of less than one byte");
 }
 
 } // namespace
